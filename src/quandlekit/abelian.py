@@ -15,7 +15,12 @@ from math import prod
 
 import numpy as np
 
-from .perms import Permutation, PermutationGroup
+from .perms import GroupTooLarge, Permutation, PermutationGroup
+
+# Largest number of candidate generator-image assignments that
+# automorphism_permutations expands; (2,2,2,2), the largest of any type of
+# order <= 31, has 16**4 = 65536.
+AUTOMORPHISM_CANDIDATE_CAP = 1 << 17
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
@@ -123,7 +128,9 @@ def automorphism_permutations(group: AbelianGroup) -> list[Permutation]:
     A homomorphism is fixed by the images of the standard generators; the
     image of a generator of order d must itself be killed by d.  All
     candidate image assignments are expanded to full maps in one numpy
-    pass and kept when bijective.
+    pass and kept when bijective.  Raises GroupTooLarge, before building
+    any map, when there are more than AUTOMORPHISM_CANDIDATE_CAP
+    assignments.
     """
     moduli = np.array(group.moduli, dtype=np.int64)
     k = len(group.moduli)
@@ -136,6 +143,12 @@ def automorphism_permutations(group: AbelianGroup) -> list[Permutation]:
     for pos, m in enumerate(group.moduli):
         ok = np.all(coords * m % moduli == 0, axis=1)
         candidate_rows.append(np.nonzero(ok)[0])
+    candidates = prod(len(rows) for rows in candidate_rows)
+    if candidates > AUTOMORPHISM_CANDIDATE_CAP:
+        raise GroupTooLarge(
+            f"{candidates} candidate automorphism maps for {group.moduli}, "
+            f"past the cap of {AUTOMORPHISM_CANDIDATE_CAP}"
+        )
     matrices = []
     for choice in itertools.product(*candidate_rows):
         matrices.append(coords[list(choice)])

@@ -4,6 +4,15 @@ Products compose like functions: (a * b)(x) = a(b(x)), so the right factor
 acts first.  Groups are stored with their complete element list, sorted by
 image tuple, which keeps every derived object (orbits, conjugacy classes,
 cosets) reproducible across runs.
+
+Elements are located by their images on a prefix base.  Because the image
+rows are sorted, the points 0..b-1, where b is one more than the last
+column in which two consecutive rows first differ, already separate every
+element.  Each element is keyed by the mixed-radix int64 number of its
+images on those points (radix = degree), so the keys rise with the element
+index and one ``searchsorted`` on them turns base images into indices.
+Where the next column would overflow int64, the partial keys are first
+replaced by their ranks among the elements' partial keys, which is exact.
 """
 
 from __future__ import annotations
@@ -141,7 +150,9 @@ class PermutationGroup:
     close_group to enumerate from generators.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_index", "_images", "_cayley")
+    __slots__ = (
+        "degree", "generators", "elements", "_index", "_images", "_keys", "_cayley"
+    )
 
     def __init__(self, degree, generators, elements):
         self.degree = int(degree)
@@ -149,6 +160,7 @@ class PermutationGroup:
         self.elements = tuple(sorted(elements, key=lambda p: p.images))
         self._index = {p.images: i for i, p in enumerate(self.elements)}
         self._images = None
+        self._keys = None
         self._cayley = None
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
@@ -221,15 +233,61 @@ def images_matrix(group_or_perms) -> np.ndarray:
     return np.array([p.images for p in perms], dtype=dt)
 
 
-def _row_view(rows: np.ndarray) -> np.ndarray:
-    """View each row as one comparable void scalar (for searchsorted)."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view([("", rows.dtype)] * rows.shape[1]).ravel()
+_KEY_LIMIT = 1 << 63
+
+# Entries of the Cayley index table built per step; bounds the int64 keys
+# held at once.
+_TABLE_CHUNK = 1 << 14
 
 
-def _row_indices(sorted_rows_view: np.ndarray, query_rows: np.ndarray) -> np.ndarray:
-    """Positions of query rows inside a lexicographically sorted row array."""
-    return np.searchsorted(sorted_rows_view, _row_view(query_rows))
+class _ElementKeys:
+    """Base images -> element indices for one group (see module docstring).
+
+    ``folds`` maps each column before which the partial key is replaced by
+    its rank to the sorted partial keys of the elements.  Queries must be
+    base images of group elements.
+    """
+
+    __slots__ = ("base_length", "degree", "folds", "keys")
+
+    def __init__(self, images: np.ndarray):
+        n, degree = images.shape
+        self.degree = degree
+        if n > 1:
+            first_diff = (images[1:] != images[:-1]).argmax(axis=1)
+            self.base_length = int(first_diff.max()) + 1
+        else:
+            self.base_length = 0
+        self.folds = {}
+        key = np.zeros(n, dtype=np.int64)
+        bound = 1
+        for col in range(self.base_length):
+            if bound * degree > _KEY_LIMIT:
+                levels = np.unique(key)
+                self.folds[col] = levels
+                key = np.searchsorted(levels, key)
+                bound = len(levels)
+            key = key * degree + images[:, col]
+            bound *= degree
+        self.keys = key
+
+    def lookup(self, base_images: np.ndarray) -> np.ndarray:
+        """Indices of the elements with these images on the base (last
+        axis), as intp."""
+        key = np.zeros(base_images.shape[:-1], dtype=np.int64)
+        for col in range(self.base_length):
+            levels = self.folds.get(col)
+            if levels is not None:
+                key = np.searchsorted(levels, key)
+            key *= self.degree
+            key += base_images[..., col]
+        return np.searchsorted(self.keys, key)
+
+
+def _element_keys(group: "PermutationGroup") -> _ElementKeys:
+    if group._keys is None:
+        group._keys = _ElementKeys(images_matrix(group))
+    return group._keys
 
 
 def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
@@ -256,7 +314,9 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
                 seen.add(key)
                 frontier.append(key)
         if len(seen) > cap:
-            raise GroupTooLarge(f"closure exceeded cap of {cap} elements")
+            raise GroupTooLarge(
+                f"closure reached {len(seen)} elements, past the cap of {cap}"
+            )
     elements = [Permutation(np.frombuffer(b, dtype=dt)) for b in seen]
     return PermutationGroup(degree, gens, elements)
 
@@ -331,19 +391,18 @@ def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
     """Conjugacy classes by direct conjugation of each unprocessed element
     with the whole group (vectorized over the element array)."""
     E = images_matrix(group)
+    element_keys = _element_keys(group)
     n = len(group.elements)
-    inv = np.argsort(E, axis=1).astype(E.dtype)
-    sorted_view = _row_view(E)
+    inv_base = np.argsort(E, axis=1)[:, : element_keys.base_length].astype(E.dtype)
     visited = np.zeros(n, dtype=bool)
     classes = []
     for idx in range(n):
         if visited[idx]:
             continue
         x = E[idx]
-        # row m holds images of  g_m o x o g_m^{-1}
-        conjugated = np.take_along_axis(E, x[inv], axis=1)
-        members = np.unique(conjugated, axis=0)
-        member_idx = _row_indices(sorted_view, members)
+        # row m holds the base images of  g_m o x o g_m^{-1}
+        conjugated = np.take_along_axis(E, x[inv_base], axis=1)
+        member_idx = np.unique(element_keys.lookup(conjugated))
         visited[member_idx] = True
         classes.append(tuple(group.elements[int(k)] for k in member_idx))
     return ConjugacyClassSet(group=group, classes=tuple(classes))
@@ -363,12 +422,15 @@ def cayley_index_table(group: PermutationGroup) -> np.ndarray:
     if group._cayley is not None:
         return group._cayley
     E = images_matrix(group)
+    element_keys = _element_keys(group)
     n = len(group.elements)
-    sorted_view = _row_view(E)
+    base_columns = E[:, : element_keys.base_length]
+    rows = max(1, _TABLE_CHUNK // n)
     table = np.empty((n, n), dtype=np.int32)
-    for i in range(n):
-        products = E[i][E]
-        table[i] = _row_indices(sorted_view, products)
+    for start in range(0, n, rows):
+        # products[r, j] holds the base images of elements[start + r] * elements[j]
+        products = E[start : start + rows][:, base_columns]
+        table[start : start + rows] = element_keys.lookup(products)
     group._cayley = table
     return table
 

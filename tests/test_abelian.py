@@ -4,6 +4,7 @@ import pytest
 
 from quandlekit import (
     AbelianGroup,
+    GroupTooLarge,
     Permutation,
     abelian_affine_quandle,
     abelian_types,
@@ -70,6 +71,14 @@ def test_automorphism_group_orders():
     for moduli, order in expected.items():
         group = AbelianGroup(moduli)
         assert len(automorphism_permutations(group)) == order, moduli
+
+
+def test_automorphism_size_guard():
+    # 32**5 candidate maps: refused before any of them is built
+    with pytest.raises(GroupTooLarge, match=r"33554432 .* cap of 131072"):
+        automorphism_permutations(AbelianGroup((2, 2, 2, 2, 2)))
+    # 16**4 = 65536 candidates, the most of any type of order <= 31
+    assert len(automorphism_permutations(AbelianGroup((2, 2, 2, 2)))) == 20160
 
 
 def test_automorphisms_fix_zero_and_respect_addition():

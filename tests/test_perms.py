@@ -1,3 +1,6 @@
+import random
+
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -18,6 +21,51 @@ from quandlekit.perms import (
     orbits,
     stabilizer,
 )
+from quandlekit.perms import _element_keys
+
+
+def _indexing_cases():
+    """(name, group, base length) for each shape of the prefix base; the
+    keys of (Z_2)^9 on 18 points would overflow int64 and are compressed."""
+    return [
+        ("trivial", close_group([Permutation.identity(4)]), 0),
+        ("cyclic", close_group([Permutation.from_cycles(7, [tuple(range(7))])]), 1),
+        ("affine", inner_group(affine_quandle(AffineSpec(13, 8))), 2),
+        ("S4", close_group([Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))]), 3),
+        (
+            "(Z2)^9",
+            close_group(
+                [Permutation.from_cycles(18, [(2 * i, 2 * i + 1)]) for i in range(9)]
+            ),
+            17,
+        ),
+    ]
+
+
+def _reference_classes(group):
+    """Conjugacy classes by plain Permutation products: each class is the
+    closure of one element under conjugation by the generators."""
+    gens = [(g, g.inverse()) for g in group.generators]
+    seen = set()
+    classes = []
+    for x in group.elements:
+        if x in seen:
+            continue
+        members = {x}
+        frontier = [x]
+        while frontier:
+            fresh = []
+            for y in frontier:
+                for g, g_inv in gens:
+                    z = g * y * g_inv
+                    if z not in members:
+                        members.add(z)
+                        fresh.append(z)
+            frontier = fresh
+        seen |= members
+        classes.append(tuple(sorted(members, key=lambda p: p.images)))
+    return tuple(classes)
+
 
 perm_strategy = st.integers(min_value=1, max_value=8).flatmap(
     lambda n: st.permutations(list(range(n))).map(lambda xs: Permutation(tuple(xs)))
@@ -87,7 +135,8 @@ def test_close_group_basics():
 def test_close_group_cap():
     cycle = Permutation.from_cycles(9, [tuple(range(9))])
     swap = Permutation.from_cycles(9, [(0, 1)])
-    with pytest.raises(GroupTooLarge):
+    message = r"reached \d+ elements, past the cap of 1000"
+    with pytest.raises(GroupTooLarge, match=message):
         close_group([cycle, swap], cap=1000)
 
 
@@ -118,6 +167,9 @@ def test_conjugacy_classes_examples():
 
     s3 = inner_group(affine_quandle(AffineSpec(3, 2)))
     assert sorted(conjugacy_classes(s3).sizes) == [1, 2, 3]
+
+    for name, group, _ in _indexing_cases():
+        assert conjugacy_classes(group).classes == _reference_classes(group), name
 
 
 def test_class_equation_and_divisibility():
@@ -152,6 +204,20 @@ def test_cayley_index_table_is_multiplication():
     for i, a in enumerate(g.elements):
         for j, b in enumerate(g.elements):
             assert g.elements[table[i, j]] == a * b
+
+    rng = random.Random(0)
+    for name, group, base_length in _indexing_cases():
+        keys = _element_keys(group)
+        assert keys.base_length == base_length, name
+        assert bool(keys.folds) == (name == "(Z2)^9"), name
+        E = np.array([p.images for p in group.elements])
+        table = cayley_index_table(group)
+        assert table.shape == (len(group), len(group)), name
+        assert np.array_equal(E[table], E[:, E]), name
+        for _ in range(200):
+            i, j = rng.randrange(len(group)), rng.randrange(len(group))
+            a, b = group.elements[i], group.elements[j]
+            assert group.elements[table[i, j]] == a * b, name
 
 
 def test_translations_share_cycle_structure():
