@@ -122,6 +122,15 @@ class AbelianGroup:
         return gens
 
 
+def _radix_weights(moduli: np.ndarray) -> np.ndarray:
+    """Place values of the coordinates in the element-list index, the last
+    coordinate least significant (see AbelianGroup.index)."""
+    weights = np.ones(len(moduli), dtype=np.int64)
+    for i in range(len(moduli) - 2, -1, -1):
+        weights[i] = weights[i + 1] * moduli[i + 1]
+    return weights
+
+
 def automorphism_permutations(group: AbelianGroup) -> list[Permutation]:
     """Every automorphism, as a permutation of the element list.
 
@@ -133,11 +142,8 @@ def automorphism_permutations(group: AbelianGroup) -> list[Permutation]:
     assignments.
     """
     moduli = np.array(group.moduli, dtype=np.int64)
-    k = len(group.moduli)
     coords = np.array(group.elements, dtype=np.int64)
-    weights = np.ones(k, dtype=np.int64)
-    for i in range(k - 2, -1, -1):
-        weights[i] = weights[i + 1] * moduli[i + 1]
+    weights = _radix_weights(moduli)
 
     candidate_rows = []
     for pos, m in enumerate(group.moduli):
@@ -179,20 +185,15 @@ def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
     """
     from .cayley import validate_quandle
 
-    count = group.order
-    if automorphism.degree != count:
+    if automorphism.degree != group.order:
         raise ValueError("automorphism degree must match the group order")
-    elements = group.elements
-    f = automorphism.images
-    table = []
-    for x in range(count):
-        fx = elements[f[x]]
-        row = []
-        for y in range(count):
-            drift = group.add(elements[y], group.negate(elements[f[y]]))
-            row.append(group.index(group.add(fx, drift)))
-        table.append(row)
-    return validate_quandle(table)
+    moduli = np.array(group.moduli, dtype=np.int64)
+    coords = np.array(group.elements, dtype=np.int64)
+    f_coords = coords[list(automorphism.images)]
+    drift = coords - f_coords
+    # [x, y]: coordinates of f(x) + y - f(y), then its mixed-radix index
+    table = (f_coords[:, None, :] + drift[None, :, :]) % moduli @ _radix_weights(moduli)
+    return validate_quandle(table.tolist())
 
 
 def affine_extension(

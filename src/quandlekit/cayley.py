@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from .modular import multiplicative_order
 from .perms import Permutation, close_group
 
@@ -61,6 +63,13 @@ class CayleyQuandle:
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(int(v) for v in row) for row in self.table))
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "CayleyQuandle":
+        """Wrap rows that are already tuples of ints, without copying."""
+        q = cls.__new__(cls)
+        object.__setattr__(q, "table", rows)
+        return q
+
     @property
     def order(self) -> int:
         return len(self.table)
@@ -72,33 +81,47 @@ class CayleyQuandle:
         return f"CayleyQuandle(order={self.order})"
 
 
+# Entries of (x > y) > z compared per step in the axiom-3 check.
+_AXIOM3_CHUNK = 1 << 14
+
+
 def validate_quandle(table) -> CayleyQuandle:
     """Check shape, entry range and the three axioms; raise AxiomViolation
-    with the first witness found, in axiom order."""
-    rows = tuple(tuple(int(v) for v in row) for row in table)
+    with the first witness found, in axiom order.
+
+    Shape and range errors name the first offending row or entry in
+    row-major order.  The axioms are checked on a numpy array; axiom 3
+    compares (x > y) > z with (x > z) > (y > z) over blocks of x, so the
+    first failing flat index is the first (x, y, z) in lexicographic
+    order."""
+    rows = tuple(tuple(map(int, row)) for row in table)
     n = len(rows)
     if n == 0:
         raise ValueError("empty table")
     for x, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"row {x} has length {len(row)}, expected {n}")
-        for y, v in enumerate(row):
-            if not 0 <= v < n:
-                raise ValueError(f"entry at ({x}, {y}) is {v}, outside 0..{n - 1}")
-    for x in range(n):
-        if rows[x][x] != x:
-            raise AxiomViolation(1, (x,))
-    for y in range(n):
-        if len({rows[x][y] for x in range(n)}) != n:
-            raise AxiomViolation(2, (y,))
-    for x in range(n):
-        rx = rows[x]
-        for y in range(n):
-            xy = rx[y]
-            for z in range(n):
-                if rows[xy][z] != rows[rx[z]][rows[y][z]]:
-                    raise AxiomViolation(3, (x, y, z))
-    return CayleyQuandle(rows)
+        if min(row) < 0 or max(row) >= n:
+            y = next(y for y, v in enumerate(row) if not 0 <= v < n)
+            raise ValueError(f"entry at ({x}, {y}) is {row[y]}, outside 0..{n - 1}")
+    T = np.array(rows, dtype=np.min_scalar_type(n - 1))
+    points = np.arange(n)
+    bad = np.flatnonzero(T[points, points] != points)
+    if bad.size:
+        raise AxiomViolation(1, (int(bad[0]),))
+    bad = np.flatnonzero((np.sort(T, axis=0) != points[:, None]).any(axis=0))
+    if bad.size:
+        raise AxiomViolation(2, (int(bad[0]),))
+    block = max(1, _AXIOM3_CHUNK // (n * n))
+    for start in range(0, n, block):
+        Tx = T[start : start + block]
+        # [x, y, z]: (x > y) > z against (x > z) > (y > z)
+        mismatch = T[Tx] != T[Tx[:, None, :], T[None, :, :]]
+        first = int(mismatch.argmax())
+        if mismatch.flat[first]:
+            x, y, z = np.unravel_index(first, mismatch.shape)
+            raise AxiomViolation(3, (start + int(x), int(y), int(z)))
+    return CayleyQuandle._trusted(rows)
 
 
 @dataclass(frozen=True)

@@ -304,11 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub.add_argument("--max-order", type=int, default=SCAN_CAP)
     sub.add_argument(
-        "--affine-only",
-        action="store_true",
-        help="restrict to affine rows (the default; kept for explicitness)",
-    )
-    sub.add_argument(
         "--include-bundled",
         action="store_true",
         help="append the packaged order-12 table to the census",

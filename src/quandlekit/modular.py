@@ -37,13 +37,15 @@ def multiplicative_order(t: int, m: int) -> int:
 
 
 def geometric_sum(t: int, k: int, m: int) -> int:
-    """1 + t + ... + t**(k-1) reduced mod m, accumulated term by term."""
+    """1 + t + ... + t**(k-1) reduced mod m, by binary splitting over the
+    bits of k: S(2j) = S(j) (1 + t**j) and S(j + 1) = 1 + t S(j)."""
     if k < 0:
         raise ValueError("exponent count must be nonnegative")
-    total, power = 0, 1
-    for _ in range(k):
-        total = (total + power) % m
-        power = power * t % m
+    total, power = 0, 1 % m  # S(j) and t**j for the leading bits j of k
+    for bit in bin(k)[2:]:
+        total, power = total * (1 + power) % m, power * power % m
+        if bit == "1":
+            total, power = (1 + t * total) % m, power * t % m
     return total
 
 

@@ -5,6 +5,13 @@ acts first.  Groups are stored with their complete element list, sorted by
 image tuple, which keeps every derived object (orbits, conjugacy classes,
 cosets) reproducible across runs.
 
+close_group prunes redundant generators as in Dimino's algorithm (Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): a
+generator already in the closure built so far adds nothing and is
+skipped, so the breadth-first closure multiplies only by the generators
+it needs.  Of the m right translations of a connected affine quandle of
+order m, only R_0 and R_1 are kept.
+
 Elements are located by their images on a prefix base.  Because the image
 rows are sorted, the points 0..b-1, where b is one more than the last
 column in which two consecutive rows first differ, already separate every
@@ -41,6 +48,13 @@ class Permutation:
         if sorted(images) != list(range(len(images))):
             raise ValueError("images must list each of 0..n-1 exactly once")
         self.images = images
+
+    @classmethod
+    def _trusted(cls, images) -> "Permutation":
+        """Wrap images already known to be a permutation, unchecked."""
+        perm = cls.__new__(cls)
+        perm.images = tuple(images)
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
@@ -292,7 +306,13 @@ def _element_keys(group: "PermutationGroup") -> _ElementKeys:
 
 def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
     """Enumerate the group generated by ``generators`` by breadth-first
-    closure under left multiplication.  Raises GroupTooLarge past ``cap``."""
+    closure under left multiplication, on the generators it needs only.
+
+    Generators are taken in the order given.  One that already lies in the
+    closure built so far is skipped; when one is kept, the closure is run
+    again from every element seen so far under all kept generators.  The
+    returned group still lists every generator passed in.  Raises
+    GroupTooLarge past ``cap``."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -300,25 +320,34 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share one degree")
     dt = _dtype_for(degree)
-    gen_arr = np.array([g.images for g in gens], dtype=dt)
-    ident = np.arange(degree, dtype=dt).tobytes()
-    seen = {ident}
-    frontier = [ident]
-    while frontier:
-        F = np.frombuffer(b"".join(frontier), dtype=dt).reshape(len(frontier), degree)
-        products = gen_arr[:, F].reshape(-1, degree)
-        frontier = []
-        for row in products:
-            key = row.tobytes()
-            if key not in seen:
-                seen.add(key)
-                frontier.append(key)
-        if len(seen) > cap:
-            raise GroupTooLarge(
-                f"closure reached {len(seen)} elements, past the cap of {cap}"
+    width = degree * np.dtype(dt).itemsize
+    seen = {np.arange(degree, dtype=dt).tobytes()}
+    kept = []
+    for g in gens:
+        key = np.array(g.images, dtype=dt).tobytes()
+        if key in seen:
+            continue
+        kept.append(g.images)
+        gen_arr = np.array(kept, dtype=dt)
+        frontier = list(seen)
+        while frontier:
+            F = np.frombuffer(b"".join(frontier), dtype=dt).reshape(-1, degree)
+            products = gen_arr[:, F].tobytes()
+            rows = dict.fromkeys(
+                products[i : i + width] for i in range(0, len(products), width)
             )
-    elements = [Permutation(np.frombuffer(b, dtype=dt)) for b in seen]
-    return PermutationGroup(degree, gens, elements)
+            frontier = [row for row in rows if row not in seen]
+            seen.update(frontier)
+            if len(seen) > cap:
+                raise GroupTooLarge(
+                    f"closure reached {len(seen)} elements, past the cap of {cap}"
+                )
+    E = np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree)
+    E = E[np.lexsort(E.T[::-1])]
+    elements = [Permutation._trusted(row) for row in E.tolist()]
+    group = PermutationGroup(degree, gens, elements)
+    group._images = E
+    return group
 
 
 def orbits(group, domain=None) -> list[tuple[int, ...]]:

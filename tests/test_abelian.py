@@ -116,6 +116,27 @@ def test_abelian_affine_quandle_matches_modular_affine():
     assert q.table == affine_quandle(AffineSpec(7, 2)).table
 
 
+def test_abelian_affine_quandle_matches_coordinate_formula():
+    # f(x) + y - f(y) entry by entry with the group's own tuple arithmetic
+    for moduli in [(1,), (2, 4), (3, 3), (2, 2, 3), (2, 2, 2)]:
+        group = AbelianGroup(moduli)
+        elements = group.elements
+        for f in automorphism_permutations(group):
+            want = tuple(
+                tuple(
+                    group.index(
+                        group.add(
+                            elements[f(x)],
+                            group.add(elements[y], group.negate(elements[f(y)])),
+                        )
+                    )
+                    for y in range(group.order)
+                )
+                for x in range(group.order)
+            )
+            assert abelian_affine_quandle(group, f).table == want
+
+
 def test_abelian_affine_quandle_connectivity():
     group = AbelianGroup((3, 3))
     connected = 0

@@ -1,5 +1,8 @@
 """Quandle construction, validation, and the coset construction."""
 
+import re
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,6 +29,7 @@ from quandlekit import (
     units,
     validate_quandle,
 )
+from quandlekit import cayley
 
 
 def test_singleton_table_is_valid():
@@ -251,3 +255,99 @@ def test_order12_fixture_is_valid_quandle(order12):
     assert order12.order == 12
     assert is_connected(order12)
     assert not is_latin(order12)
+
+
+def _reference_verdict(table):
+    """What validate_quandle must report, by the plain triple loop of the
+    definition: ("ValueError", message), (axiom, first witness) or None."""
+    rows = [[int(v) for v in row] for row in table]
+    n = len(rows)
+    if n == 0:
+        return ("ValueError", "empty table")
+    for x, row in enumerate(rows):
+        if len(row) != n:
+            return ("ValueError", f"row {x} has length {len(row)}, expected {n}")
+        for y, v in enumerate(row):
+            if not 0 <= v < n:
+                return ("ValueError", f"entry at ({x}, {y}) is {v}, outside 0..{n - 1}")
+    for x in range(n):
+        if rows[x][x] != x:
+            return (1, (x,))
+    for y in range(n):
+        if len({rows[x][y] for x in range(n)}) != n:
+            return (2, (y,))
+    for x in range(n):
+        for y in range(n):
+            for z in range(n):
+                if rows[rows[x][y]][z] != rows[rows[x][z]][rows[y][z]]:
+                    return (3, (x, y, z))
+    return None
+
+
+def _verdict(table):
+    try:
+        validate_quandle(table)
+    except AxiomViolation as exc:
+        return (exc.axiom, exc.witness)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    return None
+
+
+def _corrupt(draw, rows, kind):
+    n = len(rows)
+    point = st.integers(min_value=0, max_value=n - 1)
+    y = draw(point)
+    a, b = draw(st.lists(point.filter(lambda v: v != y), min_size=2, max_size=2, unique=True))
+    if kind == "swap entries":
+        # off the diagonal, so column y stays a bijection
+        rows[a][y], rows[b][y] = rows[b][y], rows[a][y]
+    elif kind == "swap columns":
+        for row in rows:
+            row[a], row[y] = row[y], row[a]
+    elif kind == "diagonal":
+        rows[y][y] = a
+    elif kind == "duplicate":
+        rows[a][y] = rows[b][y]
+    return rows
+
+
+@st.composite
+def corrupted_affine_tables(draw):
+    m = draw(st.integers(min_value=3, max_value=16))
+    t = draw(st.sampled_from(units(m)))
+    rows = [list(row) for row in affine_quandle(AffineSpec(m, t)).table]
+    kinds = st.sampled_from(["swap entries", "swap columns", "diagonal", "duplicate"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=2)):
+        rows = _corrupt(draw, rows, kind)
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_affine_tables(), st.sampled_from([1, 40, 300, cayley._AXIOM3_CHUNK]))
+def test_validate_matches_triple_loop_on_corrupted_tables(rows, chunk):
+    # small chunks put the first axiom-3 witness past the first x-block
+    with mock.patch.object(cayley, "_AXIOM3_CHUNK", chunk):
+        assert _verdict(rows) == _reference_verdict(rows)
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        [],
+        [[0, 1], [1]],
+        [[0, 1], [1, 0, 0]],
+        [[0, 1, 2], [], [0, 1, 2]],
+        [[0, 2], [1, 1]],
+        [[0, 1], [-1, 1]],
+        [[0, 0, 0], [1, 7, 1], [2, 2, -3]],
+        [[0, 0, 9], [1, 1]],
+        [[0, 0], [1, 10**30]],
+    ],
+)
+def test_validate_shape_and_range_messages_match_triple_loop(table):
+    kind, message = _reference_verdict(table)
+    assert kind == "ValueError"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        validate_quandle(table)
+    assert not isinstance(exc.value, AxiomViolation)

@@ -43,6 +43,20 @@ def test_geometric_sum_matches_direct_sum(m, k):
         assert geometric_sum(t, k, m) == direct
 
 
+def test_geometric_sum_matches_term_by_term_grid():
+    for m in range(1, 24):
+        for t in range(-3, 2 * m + 2):
+            total, power = 0, 1
+            for k in range(70):
+                assert geometric_sum(t, k, m) == total % m, (t, k, m)
+                total += power
+                power *= t
+    assert geometric_sum(5, 0, 7) == 0
+    assert geometric_sum(5, 10**18, 1) == 0
+    with pytest.raises(ValueError):
+        geometric_sum(2, -1, 5)
+
+
 @given(st.integers(min_value=2, max_value=200))
 def test_order_divides_unit_group_order(m):
     phi = len(units(m))

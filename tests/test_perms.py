@@ -1,12 +1,13 @@
 import random
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit.cayley import AffineSpec, affine_quandle, right_translation
-from quandlekit.inner import inner_group
+from quandlekit.inner import inner_generators, inner_group
 from quandlekit.perms import (
     GroupTooLarge,
     Permutation,
@@ -18,6 +19,7 @@ from quandlekit.perms import (
     element_order,
     element_order_profile,
     fixed_points,
+    images_matrix,
     orbits,
     stabilizer,
 )
@@ -135,9 +137,96 @@ def test_close_group_basics():
 def test_close_group_cap():
     cycle = Permutation.from_cycles(9, [tuple(range(9))])
     swap = Permutation.from_cycles(9, [(0, 1)])
-    message = r"reached \d+ elements, past the cap of 1000"
-    with pytest.raises(GroupTooLarge, match=message):
-        close_group([cycle, swap], cap=1000)
+    message = r"^closure reached (\d+) elements, past the cap of 1000$"
+    for gens in ([cycle, swap], [Permutation.identity(9), cycle, cycle, swap]):
+        with pytest.raises(GroupTooLarge, match=message) as exc:
+            close_group(gens, cap=1000)
+        assert 1000 < int(re.match(message, str(exc.value)).group(1)) <= 362880
+
+
+def _reference_closure(gens):
+    """Every product of the generators, by plain breadth-first search from
+    the identity under left multiplication by all of them, sorted by
+    image tuple."""
+    identity = Permutation.identity(gens[0].degree)
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        fresh = []
+        for x in frontier:
+            for g in gens:
+                y = g * x
+                if y not in seen:
+                    seen.add(y)
+                    fresh.append(y)
+        frontier = fresh
+    return sorted(p.images for p in seen)
+
+
+def _padded_generator_lists():
+    """Generator lists with the identity, duplicates, redundant members and
+    members listed after the group is already complete."""
+    a = Permutation((1, 0, 2, 3))
+    b = Permutation((1, 2, 3, 0))
+    ident = Permutation.identity(4)
+    translations = list(inner_generators(affine_quandle(AffineSpec(13, 8))))
+    return [
+        [ident],
+        [ident, ident],
+        [ident, a],
+        [a, a, a],
+        [a, ident, b, a, b * a, b],
+        [b * b, b, a, a * b],
+        [a, b, a * b, b * a, b * b * b],
+        translations,
+        translations[::-1],
+        [translations[5]] * 3 + translations,
+        [Permutation.identity(13)] + translations[:2] + [Permutation.identity(13)],
+    ]
+
+
+@pytest.mark.parametrize("gens", _padded_generator_lists())
+def test_close_group_matches_plain_closure(gens):
+    group = close_group(gens)
+    assert [p.images for p in group.elements] == _reference_closure(gens)
+    assert group.generators == tuple(gens)
+    assert images_matrix(group).tolist() == [list(p.images) for p in group.elements]
+
+
+def _generator_lists(max_size):
+    return st.integers(min_value=1, max_value=7).flatmap(
+        lambda n: st.lists(
+            st.permutations(list(range(n))).map(lambda xs: Permutation(tuple(xs))),
+            min_size=1,
+            max_size=max_size,
+        )
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_generator_lists(5), st.data())
+def test_close_group_matches_plain_closure_on_random_generators(gens, data):
+    if data.draw(st.booleans()):
+        gens = gens + gens[: data.draw(st.integers(0, len(gens)))]
+    if data.draw(st.booleans()):
+        gens.insert(data.draw(st.integers(0, len(gens))), Permutation.identity(gens[0].degree))
+    group = close_group(gens)
+    assert [p.images for p in group.elements] == _reference_closure(gens)
+    assert group.generators == tuple(gens)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_generator_lists(4))
+def test_close_group_order_matches_sympy(gens):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    reference = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in gens]
+    )
+    group = close_group(gens)
+    assert group.order == reference.order()
+    assert {p.images for p in group.elements} == {
+        tuple(p.array_form) for p in reference.generate()
+    }
 
 
 def test_inner_group_orders():
