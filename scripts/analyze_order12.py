@@ -43,11 +43,11 @@ def main():
     print(f"rank {rank}, tensor classes {len(square)} "
           f"(sizes {list(square.sizes)}), tau classes {len(quotient)}")
 
-    verdict = is_multiplicity_free(q, square)
+    verdict = is_multiplicity_free(q)
     print(f"multiplicity free: {verdict.value}")
     if verdict.witness is not None:
         print(f"  {verdict.witness.describe()}")
-        mats = orbital_matrices(q, square).matrices
+        mats = orbital_matrices(q).matrices
         a, b = verdict.witness.first, verdict.witness.second
         print(f"  matrix {a} support {int(mats[a].sum())} pairs, "
               f"matrix {b} support {int(mats[b].sum())} pairs")

@@ -184,9 +184,6 @@ def analyze(
     *,
     spec: AffineSpec | None = None,
     source: str = "table",
-    include_gelfand: bool = True,
-    include_decomposition: bool = True,
-    recognition_cap: int = RECOGNITION_CAP,
     tol: float = 1e-6,
 ) -> AnalysisReport:
     """Run the full pipeline on one quandle.
@@ -215,26 +212,24 @@ def analyze(
     witness_text = None
     gelfand_value = None
     if connected:
-        verdict = is_multiplicity_free(quandle, ts)
+        verdict = is_multiplicity_free(quandle)
         mf_value = verdict.value
         if verdict.witness is not None:
             witness_text = verdict.witness.describe()
-        if include_gelfand:
-            gelfand_value = is_gelfand_pair(group, stab)
+        gelfand_value = is_gelfand_pair(group, stab)
 
     if spec is not None:
         affine_status = "given"
         matched = spec
+    elif order <= RECOGNITION_CAP:
+        matched = recognize_affine(quandle)
+        affine_status = "match" if matched is not None else "none"
     else:
-        if order <= recognition_cap:
-            matched = recognize_affine(quandle, recognition_cap)
-            affine_status = "match" if matched is not None else "none"
-        else:
-            matched = None
-            affine_status = "not-checked"
+        matched = None
+        affine_status = "not-checked"
 
     decomposition = None
-    if include_decomposition and matched is not None:
+    if matched is not None:
         admissible = (
             is_prime(matched.modulus)
             and matched.is_connected_admissible

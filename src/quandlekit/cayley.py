@@ -56,9 +56,19 @@ class NotCentralized(QuandleError):
 
 @dataclass(frozen=True)
 class CayleyQuandle:
-    """An n x n Cayley table over {0..n-1}; build via validate_quandle."""
+    """An n x n Cayley table over {0..n-1}; build via validate_quandle.
+
+    inner_generators, inner_group and tensor_square memoise their results
+    in the attributes below, which are not fields, so equality and hashing
+    see the table only.  No memoised object may refer back to the quandle:
+    that cycle would keep the inner group alive until the cyclic gc runs.
+    """
 
     table: tuple[tuple[int, ...], ...]
+
+    _inner_generators = None
+    _inner_group = None
+    _tensor_square = None
 
     def __post_init__(self):
         object.__setattr__(self, "table", tuple(tuple(int(v) for v in row) for row in self.table))

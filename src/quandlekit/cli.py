@@ -99,6 +99,16 @@ def _decomposition_text(multiplicities: dict[str, int]) -> str:
     return " + ".join(parts)
 
 
+def _write_json(target: str, payload: dict) -> None:
+    """Write payload as sorted, indented JSON to a file, or stdout for '-'."""
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    if target == "-":
+        sys.stdout.write(text)
+    else:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+
 def cmd_validate(args) -> int:
     quandle, _, source = _load(args)
     print(f"{source}: valid quandle of order {quandle.order}")
@@ -143,12 +153,7 @@ def cmd_analyze(args) -> int:
             "the uniform-cycle-length property needs a prime modulus"
         )
     if args.json:
-        payload = json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(payload)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(payload)
+        _write_json(args.json, report.to_dict())
     return 0
 
 
@@ -210,7 +215,7 @@ def cmd_scan(args) -> int:
             quandle = affine_quandle(spec)
             square = tensor_square(quandle)
             quotient = tau_quotient(square)
-            verdict = is_multiplicity_free(quandle, square)
+            verdict = is_multiplicity_free(quandle)
             all_free = all_free and verdict.value
             rows.append(
                 {
@@ -234,7 +239,7 @@ def cmd_scan(args) -> int:
     if args.include_bundled and args.max_order >= 12:
         quandle = bundled_order12()
         square = tensor_square(quandle)
-        verdict = is_multiplicity_free(quandle, square)
+        verdict = is_multiplicity_free(quandle)
         extra = {
             "source": "bundled order-12",
             "tensor_classes": len(square),
@@ -253,12 +258,7 @@ def cmd_scan(args) -> int:
         }
         if extra is not None:
             payload["bundled"] = extra
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-        if args.json == "-":
-            sys.stdout.write(text)
-        else:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        _write_json(args.json, payload)
     return 0
 
 

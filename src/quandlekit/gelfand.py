@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cayley import CayleyQuandle
-from .inner import inner_group, is_connected
+from .inner import is_connected
 from .perms import (
     NotASubgroup,
     Permutation,
@@ -47,11 +47,10 @@ class OrbitalMatrixSet:
         return len(self.matrices)
 
 
-def orbital_matrices(quandle: CayleyQuandle,
-                     tensor: TensorSquare | None = None) -> OrbitalMatrixSet:
+def orbital_matrices(quandle: CayleyQuandle) -> OrbitalMatrixSet:
     """Indicator matrices of the tensor classes, in class order."""
-    ts = tensor if tensor is not None else tensor_square(quandle)
-    n = ts.quandle.order
+    ts = tensor_square(quandle)
+    n = quandle.order
     mats = []
     for cls in ts.classes:
         mat = np.zeros((n, n), dtype=np.int64)
@@ -95,8 +94,7 @@ class MultiplicityFreeResult:
         return self.value
 
 
-def is_multiplicity_free(quandle: CayleyQuandle,
-                         tensor: TensorSquare | None = None) -> MultiplicityFreeResult:
+def is_multiplicity_free(quandle: CayleyQuandle) -> MultiplicityFreeResult:
     """Decide whether the quandle module decomposes multiplicity free.
 
     Requires a connected quandle (only then is the module a transitive
@@ -105,7 +103,7 @@ def is_multiplicity_free(quandle: CayleyQuandle,
     """
     if not is_connected(quandle):
         raise NotConnected("multiplicity-freeness test needs a connected quandle")
-    mats = orbital_matrices(quandle, tensor).matrices
+    mats = orbital_matrices(quandle).matrices
     count = len(mats)
     for i in range(count):
         for j in range(i + 1, count):
@@ -125,14 +123,13 @@ def is_multiplicity_free(quandle: CayleyQuandle,
     return MultiplicityFreeResult(True, None, count)
 
 
-def symmetric_orbital_shortcut(quandle: CayleyQuandle,
-                               tensor: TensorSquare | None = None) -> bool:
+def symmetric_orbital_shortcut(quandle: CayleyQuandle) -> bool:
     """True when every orbital matrix is symmetric, i.e. every tensor class
     is its own swap image.  Sufficient for multiplicity-freeness, never
     necessary."""
     if not is_connected(quandle):
         raise NotConnected("shortcut applies to connected quandles")
-    mats = orbital_matrices(quandle, tensor).matrices
+    mats = orbital_matrices(quandle).matrices
     return all(np.array_equal(m, m.T) for m in mats)
 
 

@@ -1,5 +1,8 @@
 """Inner automorphism groups of quandles.
 
+The right translations and the group they generate are memoised on the
+quandle, so callers passing the same quandle share one closure.
+
 For a connected affine quandle (m, t) the inner group is generated by two
 elements: the translation x -> x + (1 - t) and the scaling x -> t x, with
 scaling * translation * scaling^-1 == translation^t.  Every inner
@@ -32,13 +35,18 @@ class RelationFailure(Exception):
 
 
 def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
-    """All right translations R_y, one per element."""
-    return tuple(right_translation(q, y) for y in range(q.order))
+    """All right translations R_y, one per element; memoised on q."""
+    if q._inner_generators is None:
+        gens = tuple(right_translation(q, y) for y in range(q.order))
+        object.__setattr__(q, "_inner_generators", gens)
+    return q._inner_generators
 
 
-def inner_group(q: CayleyQuandle, *, cap: int = 1_000_000) -> PermutationGroup:
-    """The group generated by the right translations."""
-    return close_group(inner_generators(q), cap=cap)
+def inner_group(q: CayleyQuandle) -> PermutationGroup:
+    """The group generated by the right translations; memoised on q."""
+    if q._inner_group is None:
+        object.__setattr__(q, "_inner_group", close_group(inner_generators(q)))
+    return q._inner_group
 
 
 def is_connected(q: CayleyQuandle) -> bool:

@@ -233,18 +233,13 @@ def _dtype_for(degree: int):
     return np.uint8 if degree <= 255 else np.uint16
 
 
-def images_matrix(group_or_perms) -> np.ndarray:
-    """Stack image tuples into one (count, degree) unsigned int array."""
-    if isinstance(group_or_perms, PermutationGroup):
-        if group_or_perms._images is None:
-            dt = _dtype_for(group_or_perms.degree)
-            group_or_perms._images = np.array(
-                [p.images for p in group_or_perms.elements], dtype=dt
-            )
-        return group_or_perms._images
-    perms = list(group_or_perms)
-    dt = _dtype_for(perms[0].degree)
-    return np.array([p.images for p in perms], dtype=dt)
+def images_matrix(group: PermutationGroup) -> np.ndarray:
+    """The group's image tuples as one (order, degree) unsigned int array,
+    cached on the group."""
+    if group._images is None:
+        dt = _dtype_for(group.degree)
+        group._images = np.array([p.images for p in group.elements], dtype=dt)
+    return group._images
 
 
 _KEY_LIMIT = 1 << 63

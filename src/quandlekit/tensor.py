@@ -6,6 +6,8 @@ coordinates commutes with the action, so it induces an involution on the
 classes, and the quotient under that involution is computed here too.
 For connected affine quandles with prime modulus both objects have closed
 forms driven by the difference y - x, which this module also provides.
+
+The tensor square is memoised on its quandle and holds no reference to it.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ class TensorSquare:
     which doubles as the class representative.
     """
 
-    quandle: CayleyQuandle
     classes: tuple[tuple[Pair, ...], ...]
 
     @property
@@ -81,12 +82,15 @@ class TauQuotient:
 
 
 def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
-    """Orbits of X x X under all right translations acting diagonally.
+    """Orbits of X x X under all right translations acting diagonally;
+    memoised on the quandle.
 
     Breadth-first closure on pair indices x*n + y, applying generators
     only; pair-index order coincides with lexicographic pair order, so the
     emitted classes come out sorted with least-pair representatives.
     """
+    if quandle._tensor_square is not None:
+        return quandle._tensor_square
     n = quandle.order
     table = np.asarray(quandle.table, dtype=np.int64)
     columns = table.T
@@ -107,7 +111,9 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
             frontier = fresh
         members.sort()
         classes.append(tuple((k // n, k % n) for k in members))
-    return TensorSquare(quandle=quandle, classes=tuple(classes))
+    square = TensorSquare(classes=tuple(classes))
+    object.__setattr__(quandle, "_tensor_square", square)
+    return square
 
 
 def tau_quotient(tensor: TensorSquare) -> TauQuotient:

@@ -166,13 +166,3 @@ def test_report_dict_is_json_stable():
     assert payload["schema"] == 1
     assert payload["tensor_representatives"] == [[0, 0], [0, 1], [0, 2], [0, 4], [0, 7]]
 
-
-def test_include_flags():
-    spec = AffineSpec(13, 8)
-    report = analyze(
-        affine_quandle(spec), spec=spec, include_gelfand=False,
-        include_decomposition=False,
-    )
-    assert report.gelfand_pair is None
-    assert report.decomposition is None
-    assert report.multiplicity_free is True

@@ -1,5 +1,8 @@
 """Inner automorphism groups of affine quandles and their presentation."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,6 +20,7 @@ from quandlekit import (
     is_connected,
     normal_form,
     presentation,
+    tensor_square,
     translation_power_exponents,
     trivial_quandle,
     verify_translation_class,
@@ -34,10 +38,33 @@ def test_inner_generators_are_columns():
 
 
 def test_inner_group_order_is_modulus_times_multiplier_order():
-    for spec in connected_affine_specs(31):
+    for spec in connected_affine_specs(47):
         group = inner_group(affine_quandle(spec))
         expected = spec.modulus * spec.order_of_multiplier
         assert len(group.elements) == expected, spec
+
+
+def test_derived_objects_are_memoised_on_the_quandle():
+    q = affine_quandle(AffineSpec(13, 8))
+    assert inner_generators(q) is inner_generators(q)
+    assert inner_group(q) is inner_group(q)
+    assert tensor_square(q) is tensor_square(q)
+
+
+def test_memoised_objects_do_not_keep_the_quandle_alive():
+    # a reference back to the quandle would make a cycle that only the
+    # cyclic collector frees, so with it disabled the quandle must still
+    # die on its last reference
+    q = affine_quandle(AffineSpec(13, 8))
+    inner_group(q)
+    tensor_square(q)
+    ref = weakref.ref(q)
+    gc.disable()
+    try:
+        del q
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_inner_group_of_trivial_quandle_is_trivial():

@@ -304,3 +304,29 @@ def test_console_script_entry_point():
     if dist is not None:
         installed = dist.entry_points.select(group="console_scripts", name="quandlekit")
         assert [ep.value for ep in installed] == [declared]
+
+
+@pytest.mark.parametrize(
+    "argv, line",
+    [
+        (["analyze_order12.py"], "multiplicity free: False"),
+        (["abelian_gelfand_census.py", "--max-order", "8"], "orbital test agreed on all"),
+    ],
+)
+def test_scripts_run(argv, line):
+    """The scripts under scripts/ run from a source checkout and reach their
+    verdict line."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    paths = [str(repo / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run(
+        [sys.executable, str(repo / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert line in proc.stdout
