@@ -14,6 +14,7 @@ import time
 
 from quandlekit import (
     AbelianGroup,
+    GroupTooLarge,
     abelian_affine_quandle,
     abelian_types,
     affine_extension,
@@ -40,7 +41,11 @@ def main():
     for order in range(1, args.max_order + 1):
         for moduli in abelian_types(order):
             group = AbelianGroup(moduli)
-            autos = automorphism_permutations(group)
+            try:
+                autos = automorphism_permutations(group)
+            except GroupTooLarge as exc:
+                print(f"error: {exc}", file=sys.stderr)
+                return 1
             if len(autos) <= args.full_sweep_limit:
                 sweep = autos
             else:

@@ -2,9 +2,17 @@
 
 Supplies the raw material for the semidirect-product Gelfand tests: every
 isomorphism type of a given order (as a tuple of prime-power cyclic
-moduli), the full automorphism group found by enumerating generator
-images, and the group of maps x -> a + f^i(x) on the underlying set,
-which realizes A x| <f> together with its subgroup <f>.
+moduli), the full automorphism group, and the group of maps
+x -> a + f^i(x) on the underlying set, which realizes A x| <f> together
+with its subgroup <f>.
+
+Automorphisms are found by extending generator images one generator at a
+time, pruning a partial map as soon as the images chosen so far generate
+a subgroup of the wrong order (Hillar and Rhea, "Automorphisms of finite
+abelian groups", Amer. Math. Monthly, 2007, give |Aut(A)| in closed form).
+Both the enumeration and the extension work on the n x n addition table
+of element-list indices, and wrap finished image rows as permutations
+without re-checking them.
 """
 
 from __future__ import annotations
@@ -131,15 +139,29 @@ def _radix_weights(moduli: np.ndarray) -> np.ndarray:
     return weights
 
 
+def _addition_table(group: AbelianGroup) -> np.ndarray:
+    """The n x n table of element-list indices of a + b."""
+    moduli = np.array(group.moduli, dtype=np.int64)
+    coords = np.array(group.elements, dtype=np.int64)
+    return (coords[:, None, :] + coords[None, :, :]) % moduli @ _radix_weights(moduli)
+
+
 def automorphism_permutations(group: AbelianGroup) -> list[Permutation]:
     """Every automorphism, as a permutation of the element list.
 
-    A homomorphism is fixed by the images of the standard generators; the
-    image of a generator of order d must itself be killed by d.  All
-    candidate image assignments are expanded to full maps in one numpy
-    pass and kept when bijective.  Raises GroupTooLarge, before building
-    any map, when there are more than AUTOMORPHISM_CANDIDATE_CAP
-    assignments.
+    A homomorphism is fixed by the images h_1..h_k of the standard
+    generators; the image of a generator of order m must itself be killed
+    by m.  The maps are extended one generator at a time over the whole
+    frontier of partial maps at once.  A partial map is stored as its span,
+    the images of <g_1..g_j> in the lexicographic order of the
+    coefficients, so the span of a complete map is its image array.  A
+    candidate h for the next generator, of order m, keeps the map
+    injective exactly when no c*h with 1 <= c < m lies in the span, since
+    then <span, h> has |span| * m elements; the other candidates are
+    pruned there.  Survivors are expanded frontier-major, candidate-minor,
+    which returns the automorphisms in the itertools.product order of
+    their generator images.  Raises GroupTooLarge, before building any
+    map, when there are more than AUTOMORPHISM_CANDIDATE_CAP assignments.
     """
     moduli = np.array(group.moduli, dtype=np.int64)
     coords = np.array(group.elements, dtype=np.int64)
@@ -155,19 +177,23 @@ def automorphism_permutations(group: AbelianGroup) -> list[Permutation]:
             f"{candidates} candidate automorphism maps for {group.moduli}, "
             f"past the cap of {AUTOMORPHISM_CANDIDATE_CAP}"
         )
-    matrices = []
-    for choice in itertools.product(*candidate_rows):
-        matrices.append(coords[list(choice)])
-    stacked = np.array(matrices, dtype=np.int64)
-    images = np.einsum("nk,ckj->cnj", coords, stacked) % moduli
-    indices = images @ weights
-    sorted_rows = np.sort(indices, axis=1)
-    bijective = np.all(sorted_rows == np.arange(group.order, dtype=np.int64), axis=1)
-    return [
-        Permutation(tuple(int(v) for v in row))
-        for row, good in zip(indices, bijective)
-        if good
-    ]
+    add_table = _addition_table(group)
+    spans = np.zeros((1, 1), dtype=np.int64)
+    for rows, m in zip(candidate_rows, group.moduli):
+        # multiples[c, i]: index of c * h for the i-th candidate h
+        multiples = (
+            np.arange(m, dtype=np.int64)[:, None, None] * coords[rows] % moduli @ weights
+        )
+        in_span = np.zeros((len(spans), group.order), dtype=bool)
+        in_span[np.arange(len(spans))[:, None], spans] = True
+        clash = in_span[:, multiples[1:]].any(axis=1)
+        keep, chosen = np.nonzero(~clash)
+        spans = add_table[
+            spans[keep][:, :, None], multiples[:, chosen].T[:, None, :]
+        ].reshape(len(keep), -1)
+    if not np.all(np.sort(spans, axis=1) == np.arange(group.order)):
+        raise RuntimeError(f"a kept map of {group.moduli} is not a bijection")
+    return [Permutation._trusted(row) for row in spans.tolist()]
 
 
 def automorphism_group(group: AbelianGroup) -> PermutationGroup:
@@ -203,29 +229,30 @@ def affine_extension(
     cyclic subgroup generated by f.
 
     Element count is |A| * order(f); the pair realizes (A x| <f>, <f>)
-    acting on A.
+    acting on A.  The powers of f are index arrays, and every member is one
+    row of a single gather on the addition table.
     """
     count = group.order
     if automorphism.degree != count:
         raise ValueError("automorphism degree must match the group order")
-    elements = group.elements
-    add_table = np.empty((count, count), dtype=np.int64)
-    for i, a in enumerate(elements):
-        add_table[i] = [group.index(group.add(a, x)) for x in elements]
-
-    powers = [Permutation.identity(count)]
-    current = automorphism
-    while not current.is_identity():
+    add_table = _addition_table(group)
+    f = np.array(automorphism.images, dtype=np.int64)
+    powers = [np.arange(count, dtype=np.int64)]
+    current = f
+    while np.any(current != powers[0]):
         powers.append(current)
-        current = current * automorphism
+        current = current[f]
+    powers = np.array(powers)
 
-    members = []
-    for a_idx in range(count):
-        row = add_table[a_idx]
-        for f_power in powers:
-            members.append(Permutation(tuple(int(row[y]) for y in f_power.images)))
-    gens = [group.translation(g) for g in group._standard_generators()]
+    # member (a, i) is y -> a + f^i(y)
+    members = add_table[:, powers].reshape(-1, count).tolist()
+    translations = add_table[[group.index(g) for g in group._standard_generators()]]
+    gens = [Permutation._trusted(row) for row in translations.tolist()]
     gens.append(automorphism)
-    big = PermutationGroup.from_elements(members, generators=gens)
-    small = PermutationGroup.from_elements(powers, generators=[automorphism])
+    big = PermutationGroup.from_elements(
+        [Permutation._trusted(row) for row in members], generators=gens
+    )
+    small = PermutationGroup.from_elements(
+        [Permutation._trusted(row) for row in powers.tolist()], generators=[automorphism]
+    )
     return big, small

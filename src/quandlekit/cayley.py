@@ -8,6 +8,7 @@ run the full axiom check before returning.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import gcd
 
 import numpy as np
@@ -152,7 +153,7 @@ class AffineSpec:
         if gcd(t, self.modulus) != 1:
             raise NotAUnit(f"{t} is not a unit modulo {self.modulus}")
 
-    @property
+    @cached_property
     def order_of_multiplier(self) -> int:
         return multiplicative_order(self.multiplier, self.modulus)
 

@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(handler=cmd_gelfand)
 
     sub = subparsers.add_parser(
-        "scan", help="census of connected affine quandles up to an order bound"
+        "scan", help="census of connected affine quandles over Z_m up to an order bound"
     )
     sub.add_argument("--max-order", type=int, default=SCAN_CAP)
     sub.add_argument(

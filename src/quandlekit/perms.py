@@ -86,18 +86,18 @@ class Permutation:
         if self.degree != other.degree:
             raise ValueError("degrees differ")
         img = self.images
-        return Permutation(tuple(img[y] for y in other.images))
+        return Permutation._trusted([img[y] for y in other.images])
 
     def inverse(self) -> "Permutation":
         inv = [0] * len(self.images)
         for x, y in enumerate(self.images):
             inv[y] = x
-        return Permutation(inv)
+        return Permutation._trusted(inv)
 
     def __pow__(self, k: int) -> "Permutation":
         base = self if k >= 0 else self.inverse()
         k = abs(k)
-        result = Permutation.identity(self.degree)
+        result = Permutation._trusted(range(self.degree))
         while k:
             if k & 1:
                 result = result * base

@@ -67,6 +67,11 @@ def test_automorphism_group_orders():
         (5, 5): 480,
         (2, 2, 3): 12,
         (7,): 6,
+        # Hillar and Rhea's |Aut|, up to the 2**17 candidates of (2, 2, 2, 4)
+        (2, 2, 2, 4): 21504,
+        (3, 3, 3): 11232,
+        (2, 4, 4): 1536,
+        (2, 2, 8): 384,
     }
     for moduli, order in expected.items():
         group = AbelianGroup(moduli)
@@ -195,3 +200,89 @@ def test_identity_automorphism_gives_abelian_pair():
     assert len(big.elements) == 6
     assert len(small.elements) == 1
     assert is_gelfand_pair(big, small)
+
+
+def _reference_automorphisms(group):
+    """Every bijective linear extension of a choice of generator images,
+    in itertools.product order, with the group's own tuple arithmetic."""
+    import itertools
+
+    elements = group.elements
+    candidates = [
+        [
+            i
+            for i, e in enumerate(elements)
+            if all(m * c % mod == 0 for c, mod in zip(e, group.moduli))
+        ]
+        for m in group.moduli
+    ]
+    out = []
+    for choice in itertools.product(*candidates):
+        images = []
+        for x in elements:
+            total = elements[0]
+            for coefficient, h in zip(x, choice):
+                for _ in range(coefficient):
+                    total = group.add(total, elements[h])
+            images.append(group.index(total))
+        if len(set(images)) == group.order:
+            out.append(tuple(images))
+    return out
+
+
+def test_automorphisms_match_ordered_reference():
+    from math import gcd, prod
+
+    skipped = []
+    for order in range(1, 33):
+        for moduli in abelian_types(order):
+            candidates = prod(prod(gcd(m, mod) for mod in moduli) for m in moduli)
+            if candidates > 1 << 12:
+                skipped.append(moduli)
+                continue
+            group = AbelianGroup(moduli)
+            got = [p.images for p in automorphism_permutations(group)]
+            assert got == _reference_automorphisms(group), moduli
+    # 50 types are compared; these five are counted by the order tests
+    assert sorted(skipped) == [
+        (2, 2, 2, 2), (2, 2, 2, 2, 2), (2, 2, 2, 4), (2, 4, 4), (3, 3, 3)
+    ]
+
+
+def test_affine_extension_matches_tuple_reference():
+    for order in range(1, 13):
+        for moduli in abelian_types(order):
+            group = AbelianGroup(moduli)
+            elements = group.elements
+            translations = [group.translation(g) for g in group._standard_generators()]
+            for f in automorphism_permutations(group):
+                powers = [tuple(range(group.order))]
+                while True:
+                    nxt = tuple(f(y) for y in powers[-1])
+                    if nxt == powers[0]:
+                        break
+                    powers.append(nxt)
+                members = sorted(
+                    tuple(group.index(group.add(a, elements[p[y]])) for y in range(group.order))
+                    for a in elements
+                    for p in powers
+                )
+                big, small = affine_extension(group, f)
+                assert [p.images for p in big.elements] == members
+                assert big.generators == tuple(translations) + (f,)
+                assert [p.images for p in small.elements] == sorted(powers)
+                assert small.generators == (f,)
+
+
+def test_automorphism_enumeration_memory():
+    import tracemalloc
+
+    group = AbelianGroup((2, 2, 2, 2))
+    tracemalloc.start()
+    try:
+        autos = automorphism_permutations(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(autos) == 20160
+    assert peak < 32 * 2**20
