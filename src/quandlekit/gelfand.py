@@ -8,11 +8,22 @@ route works inside the integer group ring: (G, K) is a Gelfand pair when
 the sums over double cosets K g K commute with each other.  For a
 connected quandle with G = Inn and K a point stabilizer the two verdicts
 agree, and the test suite leans on that agreement.
+
+Neither double-coset function builds the |G| x |G| Cayley index table:
+products are formed from base images and located by key lookup (see
+perms), and only the ones needed.  double_cosets forms |K| |G| products
+on each side of a min-label pass.  is_gelfand_pair compares the
+structure constants of the double-coset algebra, which fix each product
+of double-coset sums, at one representative per double coset: r |G|
+products for r double cosets (Ceccherini-Silberstein, Scarabotti and
+Tolli, Harmonic Analysis on Finite Groups, CUP 2008, on finite Gelfand
+pairs).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,7 +33,9 @@ from .perms import (
     NotASubgroup,
     Permutation,
     PermutationGroup,
-    cayley_index_table,
+    _PRODUCT_CHUNK,
+    _element_keys,
+    images_matrix,
 )
 from .tensor import TensorSquare, tensor_square
 
@@ -156,26 +169,56 @@ class DoubleCosetPartition:
         return tuple(self.group.elements[c[0]] for c in self.cosets)
 
 
+def _subgroup_indices(group: PermutationGroup,
+                      subgroup: PermutationGroup) -> np.ndarray:
+    """Indices of the subgroup's members in group.elements, ascending, found
+    by one key lookup of their base images and then checked row for row."""
+    if subgroup.degree != group.degree:
+        raise NotASubgroup("second argument must be a subgroup of the first")
+    images = images_matrix(group)
+    sub_images = images_matrix(subgroup)
+    keys = _element_keys(group)
+    # a non-member's key may sort past the last element
+    idx = np.minimum(keys.lookup(sub_images[:, : keys.base_length]), len(images) - 1)
+    if not np.array_equal(images[idx], sub_images):
+        raise NotASubgroup("second argument must be a subgroup of the first")
+    return idx
+
+
 def double_cosets(group: PermutationGroup,
                   subgroup: PermutationGroup) -> DoubleCosetPartition:
-    """All K g K for K the given subgroup, via the cached index table."""
-    if not group.contains_group(subgroup):
-        raise NotASubgroup("second argument must be a subgroup of the first")
-    table = cayley_index_table(group)
-    sub_idx = np.array(
-        sorted(group.index_of(h) for h in subgroup.elements), dtype=np.int64
-    )
-    count = len(group.elements)
-    seen = np.zeros(count, dtype=bool)
-    cosets = []
-    for g in range(count):
-        if seen[g]:
-            continue
-        left = table[sub_idx, g]
-        full = np.unique(table[np.ix_(left, sub_idx)])
-        seen[full] = True
-        cosets.append(tuple(int(v) for v in full))
-    return DoubleCosetPartition(group=group, subgroup=subgroup, cosets=tuple(cosets))
+    """All K g K for K the given subgroup, by a two-sided min-label pass.
+
+    left_min[g], the least index of h g over h in K, is the least index in
+    the right coset K g; the least of left_min[g k] over k in K is then the
+    least index in K g K.  Only the 2 |K| |G| products this needs are formed,
+    from base images, in blocks of about _PRODUCT_CHUNK.  Grouping the
+    elements by that label with a stable sort orders the cosets by least
+    member, with members ascending.
+    """
+    sub_idx = _subgroup_indices(group, subgroup)
+    images = images_matrix(group)
+    keys = _element_keys(group)
+    base = images[:, : keys.base_length]
+    sub_images = images[sub_idx]
+    sub_base = base[sub_idx]
+    count = len(images)
+    step = max(1, _PRODUCT_CHUNK // len(sub_idx))
+    left_min = np.empty(count, dtype=np.intp)
+    label = np.empty(count, dtype=np.intp)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        # [h, g]: base images of h * g
+        left_min[block] = keys.lookup(sub_images[:, base[block]]).min(axis=0)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        # [g, k]: base images of g * k
+        label[block] = left_min[keys.lookup(images[block][:, sub_base])].min(axis=1)
+    order = np.argsort(label, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), count]
+    members = order.tolist()
+    cosets = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
+    return DoubleCosetPartition(group=group, subgroup=subgroup, cosets=cosets)
 
 
 def is_gelfand_pair(group: PermutationGroup,
@@ -183,19 +226,43 @@ def is_gelfand_pair(group: PermutationGroup,
                     partition: DoubleCosetPartition | None = None) -> bool:
     """True when the double-coset sums commute in the integer group ring.
 
-    The product of two coset sums is expanded as an exact coefficient
-    vector over the group (a bincount of the index table block); the pair
-    is Gelfand exactly when every ordered product matches its reverse.
+    D_i D_j is bi-K-invariant, so it is fixed by its coefficients at the
+    coset representatives g_k: c_ijk = #{a in D_i : a^-1 g_k in D_j}, the
+    number of x in G with x^-1 in D_i and x g_k in D_j.  The pair is Gelfand
+    exactly when c_ijk = c_jik for all i, j, k, that is when, for each k,
+    the pairs (label(x^-1), label(x g_k)) over x in G form the same multiset
+    as their swaps; two sorted key arrays decide that.  Products x g_k are
+    formed from base images for a block of representatives at a time.
+
+    A partition passed in must be the one of this group and subgroup;
+    ValueError otherwise.
     """
-    part = partition if partition is not None else double_cosets(group, subgroup)
-    table = cayley_index_table(group)
-    count = len(group.elements)
-    index_arrays = [np.asarray(c, dtype=np.int64) for c in part.cosets]
-    for i in range(len(index_arrays)):
-        for j in range(i + 1, len(index_arrays)):
-            a, b = index_arrays[i], index_arrays[j]
-            forward = np.bincount(table[np.ix_(a, b)].ravel(), minlength=count)
-            backward = np.bincount(table[np.ix_(b, a)].ravel(), minlength=count)
-            if not np.array_equal(forward, backward):
-                return False
+    if partition is None:
+        partition = double_cosets(group, subgroup)
+    elif partition.group != group or partition.subgroup != subgroup:
+        raise ValueError("partition is of another group or subgroup")
+    images = images_matrix(group)
+    keys = _element_keys(group)
+    count = len(images)
+    cosets = partition.cosets
+    rank = len(cosets)
+    label = np.empty(count, dtype=np.int64)
+    label[np.fromiter(chain.from_iterable(cosets), dtype=np.intp, count=count)] = (
+        np.repeat(np.arange(rank), [len(c) for c in cosets])
+    )
+    reps = images[[c[0] for c in cosets]]
+    # inversion permutes the double cosets, (K g K)^-1 = K g^-1 K, so the
+    # inverses of the representatives label every inverse; the rows of
+    # argsort(reps) are those inverses' images
+    inverse_coset = label[keys.lookup(np.argsort(reps, axis=1)[:, : keys.base_length])]
+    inverse_label = inverse_coset[label][:, None]
+    rep_base = reps[:, : keys.base_length]
+    step = max(1, _PRODUCT_CHUNK // count)
+    for start in range(0, rank, step):
+        # [x, k]: label of x * g_k
+        right = label[keys.lookup(images[:, rep_base[start : start + step]])]
+        forward = np.sort(inverse_label * rank + right, axis=0)
+        backward = np.sort(right * rank + inverse_label, axis=0)
+        if not np.array_equal(forward, backward):
+            return False
     return True

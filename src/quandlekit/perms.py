@@ -244,9 +244,9 @@ def images_matrix(group: PermutationGroup) -> np.ndarray:
 
 _KEY_LIMIT = 1 << 63
 
-# Entries of the Cayley index table built per step; bounds the int64 keys
-# held at once.
-_TABLE_CHUNK = 1 << 14
+# Products located per step, by the Cayley index table and by the
+# double-coset passes; bounds the int64 keys held at once.
+_PRODUCT_CHUNK = 1 << 14
 
 
 class _ElementKeys:
@@ -449,7 +449,7 @@ def cayley_index_table(group: PermutationGroup) -> np.ndarray:
     element_keys = _element_keys(group)
     n = len(group.elements)
     base_columns = E[:, : element_keys.base_length]
-    rows = max(1, _TABLE_CHUNK // n)
+    rows = max(1, _PRODUCT_CHUNK // n)
     table = np.empty((n, n), dtype=np.int32)
     for start in range(0, n, rows):
         # products[r, j] holds the base images of elements[start + r] * elements[j]

@@ -1,15 +1,21 @@
 """Multiplicity-freeness via orbital matrices and via double cosets."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from quandlekit import (
+    AbelianGroup,
     AffineSpec,
     NotASubgroup,
     NotConnected,
     Permutation,
     PermutationGroup,
+    abelian_types,
+    affine_extension,
     affine_quandle,
+    automorphism_permutations,
     close_group,
     dihedral_quandle,
     double_cosets,
@@ -190,3 +196,112 @@ def test_base_point_does_not_matter(order12):
         sub = stabilizer(group, point)
         verdicts.add(is_gelfand_pair(group, sub))
     assert verdicts == {False}
+
+
+def _s4():
+    return close_group(
+        [Permutation.from_cycles(4, [(0, 1, 2, 3)]), Permutation.from_cycles(4, [(0, 1)])]
+    )
+
+
+def test_partition_of_another_pair_is_rejected(order12):
+    s4 = _s4()
+    s3 = stabilizer(s4, 3)
+    group = inner_group(order12)
+    sub = stabilizer(group, 0)
+    with pytest.raises(ValueError):
+        is_gelfand_pair(s4, s3, double_cosets(group, sub))
+    with pytest.raises(ValueError):
+        is_gelfand_pair(group, sub, double_cosets(s4, s3))
+    with pytest.raises(ValueError):
+        is_gelfand_pair(s4, s3, double_cosets(s4, stabilizer(s4, 0)))
+    assert is_gelfand_pair(s4, s3, double_cosets(s4, s3))
+
+
+def _reference_double_cosets(group, subgroup):
+    """K g K by plain Permutation products: sorted index tuples ordered by
+    least member."""
+    index = {g: i for i, g in enumerate(group.elements)}
+    seen = set()
+    cosets = []
+    for g in group.elements:
+        if g in seen:
+            continue
+        coset = {h * g * k for h in subgroup.elements for k in subgroup.elements}
+        seen |= coset
+        cosets.append(tuple(sorted(index[x] for x in coset)))
+    return tuple(cosets)
+
+
+def _reference_is_gelfand(group, cosets):
+    """Compare the full coefficient vectors of D_i D_j and D_j D_i."""
+    members = [[group.elements[i] for i in c] for c in cosets]
+
+    def product(i, j):
+        return Counter(a * b for a in members[i] for b in members[j])
+
+    count = len(members)
+    return all(
+        product(i, j) == product(j, i) for i in range(count) for j in range(i + 1, count)
+    )
+
+
+def _differential_pairs(order12):
+    for order in range(1, 13):
+        for moduli in abelian_types(order):
+            abelian = AbelianGroup(moduli)
+            for f in automorphism_permutations(abelian):
+                yield affine_extension(abelian, f)
+    s4 = _s4()
+    subgroups = [
+        close_group([Permutation.from_cycles(4, [(0, 1)])]),
+        close_group([Permutation.from_cycles(4, [(0, 1, 2)])]),
+        close_group([Permutation.from_cycles(4, [(0, 1), (2, 3)])]),
+        PermutationGroup.from_elements([Permutation.identity(4)]),
+        s4,
+    ]
+    subgroups += [stabilizer(s4, point) for point in range(4)]
+    for sub in subgroups:
+        yield s4, sub
+    group = inner_group(order12)
+    for point in range(12):
+        yield group, stabilizer(group, point)
+
+
+def test_double_cosets_and_gelfand_match_reference(order12):
+    pairs = 0
+    negatives = 0
+    for group, sub in _differential_pairs(order12):
+        part = double_cosets(group, sub)
+        expected = _reference_double_cosets(group, sub)
+        assert part.cosets == expected, (group, sub)
+        verdict = is_gelfand_pair(group, sub, part)
+        assert verdict == _reference_is_gelfand(group, expected), (group, sub)
+        assert type(verdict) is bool
+        pairs += 1
+        negatives += not verdict
+    # 288 pairs (A, f), 9 subgroups of S4 and 12 base points; the negatives
+    # are S4 over the trivial group, <(0 1)> and <(0 1)(2 3)>, and the
+    # order-12 pair at each of its points
+    assert pairs == 309
+    assert negatives == 15
+
+
+def test_double_coset_test_memory():
+    import tracemalloc
+
+    group = inner_group(affine_quandle(AffineSpec(47, 5)))
+    sub = stabilizer(group, 0)
+    assert len(group) == 2162
+    tracemalloc.start()
+    try:
+        part = double_cosets(group, sub)
+        verdict = is_gelfand_pair(group, sub, part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(part) == 2
+    assert verdict
+    assert peak < 8 * 2**20
+    # the |G| x |G| Cayley index table was never built
+    assert group._cayley is None
