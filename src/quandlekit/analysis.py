@@ -115,9 +115,9 @@ def recognize_affine(quandle: CayleyQuandle,
     if m > cap:
         return None
     for t in units(m):
-        candidate = affine_quandle(AffineSpec(m, t))
-        if quandles_isomorphic(quandle, candidate) is not None:
-            return AffineSpec(m, t)
+        spec = AffineSpec(m, t)
+        if quandles_isomorphic(quandle, affine_quandle(spec)) is not None:
+            return spec
     return None
 
 

@@ -140,10 +140,19 @@ class AffineSpec:
     """Parameters (m, t) of the affine quandle x > y = t x + (1 - t) y mod m.
 
     The multiplier is normalized mod m and must be a unit.  The quandle is
-    connected exactly when 1 - t is also a unit."""
+    connected exactly when 1 - t is also a unit.
+
+    affine_quandle memoises the validated quandle in ``_quandle``, which is
+    not a field, so equality, hashing and repr see (m, t) only.  Through
+    that quandle every caller holding this spec object shares one inner
+    group, one class split and one tensor square.  Nothing memoised refers
+    back to the spec, so it is freed with its last reference, not by the
+    cyclic gc."""
 
     modulus: int
     multiplier: int
+
+    _quandle = None
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -169,11 +178,14 @@ class AffineSpec:
 
 
 def affine_quandle(spec: AffineSpec) -> CayleyQuandle:
-    m, t = spec.modulus, spec.multiplier
-    c = (1 - t) % m
-    return validate_quandle(
-        [[(t * x + c * y) % m for y in range(m)] for x in range(m)]
-    )
+    """The validated table of the spec's quandle; memoised on the spec, so
+    every call with one spec object returns the same quandle."""
+    if spec._quandle is None:
+        m, t = spec.modulus, spec.multiplier
+        c = (1 - t) % m
+        q = validate_quandle([[(t * x + c * y) % m for y in range(m)] for x in range(m)])
+        object.__setattr__(spec, "_quandle", q)
+    return spec._quandle
 
 
 def trivial_quandle(n: int) -> CayleyQuandle:

@@ -18,10 +18,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .cayley import AffineSpec
-from .inner import InnerPresentation, normal_form
+from .cayley import AffineSpec, affine_quandle
+from .inner import InnerPresentation, inner_group, normal_form, presentation
 from .modular import is_prime, multiplicative_order
-from .perms import ConjugacyClassSet, Permutation, PermutationGroup
+from .perms import ConjugacyClassSet, Permutation, PermutationGroup, conjugacy_classes
 
 
 class BadParameters(Exception):
@@ -53,10 +53,8 @@ class ClassFunction:
 def permutation_character(group: PermutationGroup,
                           classes: ConjugacyClassSet | None = None) -> ClassFunction:
     """Fixed-point count of a class representative, per class.  Exact."""
-    from .perms import conjugacy_classes as _cc
-
     if classes is None:
-        classes = _cc(group)
+        classes = conjugacy_classes(group)
     if classes.group is not group and classes.group != group:
         raise GroupMismatch("classes belong to a different group")
     values = tuple(
@@ -297,10 +295,12 @@ class DecompositionResult:
 def decompose_prime_affine(spec: AffineSpec, *, tol: float = 1e-6) -> DecompositionResult:
     """Decompose the permutation module of Inn acting on a prime connected
     affine quandle.  Multiplicities come from numeric inner products and
-    must sit within tol of integers; the dimension count is re-checked."""
-    from .inner import inner_group, presentation
-    from .perms import conjugacy_classes
+    must sit within tol of integers; the dimension count is re-checked.
 
+    The quandle, its inner group and their class split are the ones
+    memoised on ``spec`` (see affine_quandle and conjugacy_classes), so a
+    caller that already built them for this spec object pays for none of
+    them again."""
     p = spec.modulus
     if not is_prime(p):
         raise BadParameters(f"modulus {p} is not prime")
@@ -308,8 +308,6 @@ def decompose_prime_affine(spec: AffineSpec, *, tol: float = 1e-6) -> Decomposit
         raise BadParameters("quandle is not connected")
     if p == 1 or spec.multiplier == 1:
         raise BadParameters("multiplier must act nontrivially")
-    from .cayley import affine_quandle
-
     pres = presentation(spec)
     group = inner_group(affine_quandle(spec))
     classes = conjugacy_classes(group)

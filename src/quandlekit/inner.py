@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cayley import AffineSpec, CayleyQuandle, affine_quandle, right_translation
 from .modular import geometric_sum
 from .perms import (
@@ -35,9 +37,18 @@ class RelationFailure(Exception):
 
 
 def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
-    """All right translations R_y, one per element; memoised on q."""
+    """All right translations R_y, one per element; memoised on q.
+
+    Row y of the transposed table is the column map x -> x > y.  Every
+    column is checked to be a bijection at once, because a directly
+    constructed CayleyQuandle has not been validated; a column that is not
+    raises ValueError, as right_translation does."""
     if q._inner_generators is None:
-        gens = tuple(right_translation(q, y) for y in range(q.order))
+        n = q.order
+        columns = np.array(q.table, dtype=np.int64).reshape(n, n).T
+        if (np.sort(columns, axis=1) != np.arange(n)).any():
+            raise ValueError("images must list each of 0..n-1 exactly once")
+        gens = tuple(Permutation._trusted(row) for row in columns.tolist())
         object.__setattr__(q, "_inner_generators", gens)
     return q._inner_generators
 

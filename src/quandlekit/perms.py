@@ -165,7 +165,8 @@ class PermutationGroup:
     """
 
     __slots__ = (
-        "degree", "generators", "elements", "_index", "_images", "_keys", "_cayley"
+        "degree", "generators", "elements", "_index", "_images", "_keys", "_cayley",
+        "_classes", "__weakref__",
     )
 
     def __init__(self, degree, generators, elements):
@@ -176,6 +177,7 @@ class PermutationGroup:
         self._images = None
         self._keys = None
         self._cayley = None
+        self._classes = None
         if len(self._index) != len(self.elements):
             raise ValueError("duplicate elements")
         if Permutation.identity(self.degree).images not in self._index:
@@ -413,7 +415,18 @@ class ConjugacyClassSet:
 
 def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
     """Conjugacy classes by direct conjugation of each unprocessed element
-    with the whole group (vectorized over the element array)."""
+    with the whole group (vectorized over the element array).
+
+    The class tuple is memoised on the group and each call wraps it in a
+    fresh ConjugacyClassSet: the set refers to the group, so storing it on
+    the group would make a cycle that keeps the group alive until the
+    cyclic gc runs."""
+    if group._classes is None:
+        group._classes = _split_classes(group)
+    return ConjugacyClassSet(group=group, classes=group._classes)
+
+
+def _split_classes(group: PermutationGroup) -> tuple[tuple[Permutation, ...], ...]:
     E = images_matrix(group)
     element_keys = _element_keys(group)
     n = len(group.elements)
@@ -429,7 +442,7 @@ def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
         member_idx = np.unique(element_keys.lookup(conjugated))
         visited[member_idx] = True
         classes.append(tuple(group.elements[int(k)] for k in member_idx))
-    return ConjugacyClassSet(group=group, classes=tuple(classes))
+    return tuple(classes)
 
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:

@@ -5,6 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import quandlekit.cayley
+import quandlekit.inner
 from quandlekit import (
     AffineSpec,
     BadParameters,
@@ -245,6 +247,32 @@ def test_decompose_5_4():
     result = decompose_prime_affine(AffineSpec(5, 4))
     assert result.nonzero() == {"triv": 1, "ind:1": 1, "ind:2": 1}
     assert result.rank == 3
+
+
+def test_character_route_reuses_the_callers_quandle_inn_and_classes(monkeypatch):
+    calls = {"validate_quandle": 0, "close_group": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(quandlekit.cayley, "validate_quandle")
+    counted(quandlekit.inner, "close_group")
+    spec = AffineSpec(13, 8)
+    quandle = affine_quandle(spec)
+    group = inner_group(quandle)
+    classes = conjugacy_classes(group)
+    presentation(spec)
+    permutation_character(group, classes)
+    decompose_prime_affine(spec)
+    assert calls == {"validate_quandle": 1, "close_group": 1}
+    assert affine_quandle(spec) is quandle
+    assert conjugacy_classes(group).classes is classes.classes
 
 
 def test_decompose_rejects_bad_specs():

@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from quandlekit import (
     AffineSpec,
+    CayleyQuandle,
     NotInGroup,
     Permutation,
     affine_quandle,
+    conjugacy_classes,
+    decompose_prime_affine,
     dihedral_quandle,
     element_from_normal_form,
     element_order,
@@ -20,9 +23,11 @@ from quandlekit import (
     is_connected,
     normal_form,
     presentation,
+    right_translation,
     tensor_square,
     translation_power_exponents,
     trivial_quandle,
+    validate_quandle,
     verify_translation_class,
 )
 from conftest import connected_affine_specs
@@ -35,6 +40,27 @@ def test_inner_generators_are_columns():
     for y, g in enumerate(gens):
         for x in range(5):
             assert g(x) == q.op(x, y)
+
+
+def test_inner_generators_match_right_translations(order12):
+    q = affine_quandle(AffineSpec(11, 2))
+    sigma = (5, 9, 0, 3, 10, 1, 7, 2, 8, 4, 6)
+    inverse = sorted(range(11), key=sigma.__getitem__)
+    relabelled = validate_quandle(
+        [[sigma[q.op(inverse[a], inverse[b])] for b in range(11)] for a in range(11)]
+    )
+    for quandle in (dihedral_quandle(9), order12, relabelled):
+        expected = [right_translation(quandle, y) for y in range(quandle.order)]
+        assert list(inner_generators(quandle)) == expected
+
+
+def test_inner_generators_reject_a_column_that_is_not_a_bijection():
+    # built directly, so never validated: column 1 repeats the entry 1
+    q = CayleyQuandle([[0, 2, 1], [2, 1, 0], [1, 1, 2]])
+    with pytest.raises(ValueError):
+        right_translation(q, 1)
+    with pytest.raises(ValueError):
+        inner_generators(q)
 
 
 def test_inner_group_order_is_modulus_times_multiplier_order():
@@ -63,6 +89,24 @@ def test_memoised_objects_do_not_keep_the_quandle_alive():
     try:
         del q
         assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_spec_memos_do_not_keep_the_quandle_or_group_alive():
+    # the spec holds its quandle, the quandle its inner group and the group
+    # its classes; no link may point back, or with the cyclic collector
+    # disabled the quandle and the group would outlive the spec
+    spec = AffineSpec(13, 8)
+    q = affine_quandle(spec)
+    group = inner_group(q)
+    conjugacy_classes(group)
+    decompose_prime_affine(spec)
+    refs = (weakref.ref(q), weakref.ref(group))
+    gc.disable()
+    try:
+        del spec, q, group
+        assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
 
