@@ -31,11 +31,11 @@ def main():
     print(f"order {q.order}, latin: {is_latin(q)}")
 
     group = inner_group(q)
-    print(f"inner group order {len(group.elements)}, "
+    print(f"inner group order {len(group)}, "
           f"element order profile {element_order_profile(group)}")
 
     stab = stabilizer(group, 0)
-    print(f"stabilizer of 0 has order {len(stab.elements)}")
+    print(f"stabilizer of 0 has order {len(stab)}")
 
     rank = burnside_rank(group)
     square = tensor_square(q)

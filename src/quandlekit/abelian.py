@@ -11,8 +11,9 @@ time, pruning a partial map as soon as the images chosen so far generate
 a subgroup of the wrong order (Hillar and Rhea, "Automorphisms of finite
 abelian groups", Amer. Math. Monthly, 2007, give |Aut(A)| in closed form).
 Both the enumeration and the extension work on the n x n addition table
-of element-list indices, and wrap finished image rows as permutations
-without re-checking them.
+of element-list indices.  The enumeration wraps finished image rows as
+permutations without re-checking them; the extension and the translation
+group hand their rows to PermutationGroup as one array.
 """
 
 from __future__ import annotations
@@ -116,10 +117,12 @@ class AbelianGroup:
         )
 
     def translation_group(self) -> PermutationGroup:
-        """The regular action of the group on itself, fully enumerated."""
-        perms = [self.translation(e) for e in self.elements]
-        gens = [self.translation(e) for e in self._standard_generators()]
-        return PermutationGroup.from_elements(perms, generators=gens or perms)
+        """The regular action of the group on itself, fully enumerated: row
+        e of the addition table is the translation by e."""
+        table = _addition_table(self)
+        rows = table.tolist()
+        gens = [rows[self.index(e)] for e in self._standard_generators()] or rows
+        return PermutationGroup(self.order, map(Permutation._trusted, gens), table)
 
     def _standard_generators(self) -> list[tuple[int, ...]]:
         gens = []
@@ -244,15 +247,10 @@ def affine_extension(
         current = current[f]
     powers = np.array(powers)
 
-    # member (a, i) is y -> a + f^i(y)
-    members = add_table[:, powers].reshape(-1, count).tolist()
     translations = add_table[[group.index(g) for g in group._standard_generators()]]
     gens = [Permutation._trusted(row) for row in translations.tolist()]
     gens.append(automorphism)
-    big = PermutationGroup.from_elements(
-        [Permutation._trusted(row) for row in members], generators=gens
-    )
-    small = PermutationGroup.from_elements(
-        [Permutation._trusted(row) for row in powers.tolist()], generators=[automorphism]
-    )
+    # member (a, i) is y -> a + f^i(y)
+    big = PermutationGroup(count, gens, add_table[:, powers].reshape(-1, count))
+    small = PermutationGroup(count, [automorphism], powers)
     return big, small

@@ -248,8 +248,8 @@ def analyze(
         order=order,
         connected=connected,
         latin=latin,
-        inner_order=len(group.elements),
-        stabilizer_order=len(stab.elements),
+        inner_order=len(group),
+        stabilizer_order=len(stab),
         rank=rank,
         translation_cycle_type=cycles,
         translation_cycles_uniform=uniform,

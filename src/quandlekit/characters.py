@@ -94,7 +94,7 @@ def burnside_rank(group: PermutationGroup, *, strict: bool = False) -> int:
     E = images_matrix(group)
     fixed = (E == np.arange(group.degree, dtype=E.dtype)).sum(axis=1).astype(np.int64)
     total = int((fixed * fixed).sum())
-    q, r = divmod(total, len(group.elements))
+    q, r = divmod(total, len(group))
     if r != 0:
         raise ArithmeticError("fixed-point sum not divisible by the group order")
     if strict and len(orbits(group)) != 1:

@@ -191,8 +191,8 @@ def cmd_gelfand(args) -> int:
     group = inner_group(quandle)
     stab = stabilizer(group, 0)
     pair = is_gelfand_pair(group, stab)
-    print(f"{source}: inner group order {len(group.elements)}, "
-          f"stabilizer order {len(stab.elements)}")
+    print(f"{source}: inner group order {len(group)}, "
+          f"stabilizer order {len(stab)}")
     print(f"multiplicity free (orbital test): {_yesno(verdict.value)}")
     if verdict.witness is not None:
         print(f"  witness: {verdict.witness.describe()}")

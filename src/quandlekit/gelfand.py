@@ -169,22 +169,6 @@ class DoubleCosetPartition:
         return tuple(self.group.elements[c[0]] for c in self.cosets)
 
 
-def _subgroup_indices(group: PermutationGroup,
-                      subgroup: PermutationGroup) -> np.ndarray:
-    """Indices of the subgroup's members in group.elements, ascending, found
-    by one key lookup of their base images and then checked row for row."""
-    if subgroup.degree != group.degree:
-        raise NotASubgroup("second argument must be a subgroup of the first")
-    images = images_matrix(group)
-    sub_images = images_matrix(subgroup)
-    keys = _element_keys(group)
-    # a non-member's key may sort past the last element
-    idx = np.minimum(keys.lookup(sub_images[:, : keys.base_length]), len(images) - 1)
-    if not np.array_equal(images[idx], sub_images):
-        raise NotASubgroup("second argument must be a subgroup of the first")
-    return idx
-
-
 def double_cosets(group: PermutationGroup,
                   subgroup: PermutationGroup) -> DoubleCosetPartition:
     """All K g K for K the given subgroup, by a two-sided min-label pass.
@@ -196,14 +180,15 @@ def double_cosets(group: PermutationGroup,
     elements by that label with a stable sort orders the cosets by least
     member, with members ascending.
     """
-    sub_idx = _subgroup_indices(group, subgroup)
+    if not group.contains_group(subgroup):
+        raise NotASubgroup("second argument must be a subgroup of the first")
     images = images_matrix(group)
     keys = _element_keys(group)
     base = images[:, : keys.base_length]
-    sub_images = images[sub_idx]
-    sub_base = base[sub_idx]
+    sub_images = images_matrix(subgroup)
+    sub_base = sub_images[:, : keys.base_length]
     count = len(images)
-    step = max(1, _PRODUCT_CHUNK // len(sub_idx))
+    step = max(1, _PRODUCT_CHUNK // len(sub_images))
     left_min = np.empty(count, dtype=np.intp)
     label = np.empty(count, dtype=np.intp)
     for start in range(0, count, step):

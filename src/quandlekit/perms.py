@@ -1,9 +1,10 @@
 """Permutations of {0..n-1} and fully enumerated permutation groups.
 
 Products compose like functions: (a * b)(x) = a(b(x)), so the right factor
-acts first.  Groups are stored with their complete element list, sorted by
-image tuple, which keeps every derived object (orbits, conjugacy classes,
-cosets) reproducible across runs.
+acts first.  A group is stored as the lexsorted array of its elements'
+image rows, which keeps every derived object (orbits, conjugacy classes,
+cosets) reproducible across runs; Permutation objects for its elements
+are built from that array on first read.
 
 close_group prunes redundant generators as in Dimino's algorithm (Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): a
@@ -12,10 +13,11 @@ skipped, so the breadth-first closure multiplies only by the generators
 it needs.  Of the m right translations of a connected affine quandle of
 order m, only R_0 and R_1 are kept.
 
-Elements are located by their images on a prefix base.  Because the image
-rows are sorted, the points 0..b-1, where b is one more than the last
-column in which two consecutive rows first differ, already separate every
-element.  Each element is keyed by the mixed-radix int64 number of its
+Elements are located by their images on a prefix base; these keys
+(_ElementKeys) are the group's only index.  Because the image rows are
+sorted, the points 0..b-1, where b is one more than the last column in
+which two consecutive rows first differ, already separate every element.
+Each element is keyed by the mixed-radix int64 number of its
 images on those points (radix = degree), so the keys rise with the element
 index and one ``searchsorted`` on them turns base images into indices.
 Where the next column would overflow int64, the partial keys are first
@@ -158,74 +160,89 @@ def fixed_points(perm: Permutation) -> int:
 
 
 class PermutationGroup:
-    """A finite permutation group carrying its full sorted element list.
+    """A finite permutation group held as one lexsorted (order, degree)
+    array of image rows, indexed by _ElementKeys; ``elements`` wraps the
+    rows as Permutation objects on first read.
 
-    Constructing one directly trusts that ``elements`` is closed; use
-    close_group to enumerate from generators.
+    Constructing one directly trusts that the image rows, given in any
+    order, are closed; use close_group to enumerate from generators.
     """
 
     __slots__ = (
-        "degree", "generators", "elements", "_index", "_images", "_keys", "_cayley",
+        "degree", "generators", "_images", "_elements", "_keys", "_cayley",
         "_classes", "__weakref__",
     )
 
-    def __init__(self, degree, generators, elements):
+    def __init__(self, degree, generators, images):
         self.degree = int(degree)
         self.generators = tuple(generators)
-        self.elements = tuple(sorted(elements, key=lambda p: p.images))
-        self._index = {p.images: i for i, p in enumerate(self.elements)}
-        self._images = None
-        self._keys = None
-        self._cayley = None
-        self._classes = None
-        if len(self._index) != len(self.elements):
-            raise ValueError("duplicate elements")
-        if Permutation.identity(self.degree).images not in self._index:
+        images = np.asarray(images, dtype=_dtype_for(self.degree))
+        if images.ndim != 2 or images.shape[1] != self.degree:
+            raise ValueError(f"image rows must have the group's degree {self.degree}")
+        images = images[np.lexsort(images.T[::-1])]
+        # the identity is the least permutation in lex order
+        if not len(images) or np.any(images[0] != np.arange(self.degree)):
             raise ValueError("identity missing")
+        if np.any(np.all(images[1:] == images[:-1], axis=1)):
+            raise ValueError("duplicate elements")
+        self._images = images
+        self._elements = self._keys = self._cayley = self._classes = None
 
     @classmethod
     def from_elements(cls, elements, generators=None) -> "PermutationGroup":
+        """The group of the given permutations, which keeps these objects
+        (in lex order) as its elements."""
         elements = tuple(elements)
         if not elements:
             raise ValueError("empty element list")
         degree = elements[0].degree
-        if generators is None:
-            generators = elements
-        return cls(degree, generators, elements)
+        if any(p.degree != degree for p in elements):
+            degrees = sorted({p.degree for p in elements})
+            raise ValueError(f"elements of mixed degrees {degrees}")
+        rows = np.array([p.images for p in elements], dtype=_dtype_for(degree))
+        rank = np.lexsort(rows.T[::-1])
+        group = cls(degree, elements if generators is None else generators, rows[rank])
+        group._elements = tuple(elements[i] for i in rank.tolist())
+        return group
+
+    @property
+    def elements(self) -> tuple[Permutation, ...]:
+        if self._elements is None:
+            self._elements = tuple(map(Permutation._trusted, self._images.tolist()))
+        return self._elements
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._images)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self._images)
 
     def __iter__(self):
         return iter(self.elements)
 
     def __contains__(self, perm) -> bool:
-        return isinstance(perm, Permutation) and perm.images in self._index
+        return isinstance(perm, Permutation) and bool(_locate(self, [perm.images])[1][0])
 
     def index_of(self, perm: Permutation) -> int:
-        return self._index[perm.images]
+        index, found = _locate(self, [perm.images])
+        if not found[0]:
+            raise KeyError(perm.images)
+        return int(index[0])
 
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
 
     def contains_group(self, other: "PermutationGroup") -> bool:
-        return other.degree == self.degree and all(
-            g.images in self._index for g in other.elements
-        )
+        return bool(_locate(self, other._images)[1].all())
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PermutationGroup)
-            and self.degree == other.degree
-            and self.elements == other.elements
-        )
+        if not isinstance(other, PermutationGroup):
+            return False
+        return self.degree == other.degree and np.array_equal(self._images, other._images)
 
     def __hash__(self) -> int:
-        return hash((self.degree, self.elements))
+        return hash((self.degree, self._images.tobytes()))
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
@@ -236,11 +253,7 @@ def _dtype_for(degree: int):
 
 
 def images_matrix(group: PermutationGroup) -> np.ndarray:
-    """The group's image tuples as one (order, degree) unsigned int array,
-    cached on the group."""
-    if group._images is None:
-        dt = _dtype_for(group.degree)
-        group._images = np.array([p.images for p in group.elements], dtype=dt)
+    """The group's sorted (order, degree) unsigned int image array."""
     return group._images
 
 
@@ -255,8 +268,9 @@ class _ElementKeys:
     """Base images -> element indices for one group (see module docstring).
 
     ``folds`` maps each column before which the partial key is replaced by
-    its rank to the sorted partial keys of the elements.  Queries must be
-    base images of group elements.
+    its rank to the sorted partial keys of the elements.  A query that is
+    not the base of an element gets an arbitrary index, possibly past the
+    last; _locate checks the rows.
     """
 
     __slots__ = ("base_length", "degree", "folds", "keys")
@@ -301,6 +315,19 @@ def _element_keys(group: "PermutationGroup") -> _ElementKeys:
     return group._keys
 
 
+def _locate(group: PermutationGroup, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(index, found) for image rows: found[i] tells whether rows[i] is an
+    element, and then index[i] is its index.  One key lookup of the base
+    images, then a row-for-row check; rows of another degree never match."""
+    rows = np.asarray(rows)
+    if rows.shape[1] != group.degree:
+        return np.zeros(len(rows), dtype=np.intp), np.zeros(len(rows), dtype=bool)
+    keys = _element_keys(group)
+    # a non-member's key may sort past the last element
+    index = np.minimum(keys.lookup(rows[:, : keys.base_length]), len(group) - 1)
+    return index, np.all(group._images[index] == rows, axis=1)
+
+
 def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
     """Enumerate the group generated by ``generators`` by breadth-first
     closure under left multiplication, on the generators it needs only.
@@ -340,11 +367,29 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
                     f"closure reached {len(seen)} elements, past the cap of {cap}"
                 )
     E = np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree)
-    E = E[np.lexsort(E.T[::-1])]
-    elements = [Permutation._trusted(row) for row in E.tolist()]
-    group = PermutationGroup(degree, gens, elements)
-    group._images = E
-    return group
+    return PermutationGroup(degree, gens, E)
+
+
+def _breadth_first_orbits(maps: np.ndarray, seeds) -> list[list[int]]:
+    """Orbits of the maps, one per row of an integer array acting on
+    0..width-1, found by breadth-first search from each seed not yet
+    reached, in seed order; each orbit is sorted."""
+    visited = np.zeros(maps.shape[1], dtype=bool)
+    out = []
+    for seed in seeds:
+        if visited[seed]:
+            continue
+        visited[seed] = True
+        orbit = [seed]
+        frontier = np.array([seed], dtype=np.intp)
+        while frontier.size:
+            reached = np.unique(maps[:, frontier])
+            fresh = reached[~visited[reached]]
+            visited[fresh] = True
+            orbit.extend(fresh.tolist())
+            frontier = fresh
+        out.append(sorted(orbit))
+    return out
 
 
 def orbits(group, domain=None) -> list[tuple[int, ...]]:
@@ -366,21 +411,7 @@ def orbits(group, domain=None) -> list[tuple[int, ...]]:
         seeds = sorted(set(int(x) for x in domain))
         if seeds and (seeds[0] < 0 or seeds[-1] >= degree):
             raise ValueError("domain points out of range")
-    visited = np.zeros(degree, dtype=bool)
-    out = []
-    for seed in seeds:
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        orbit = [seed]
-        frontier = np.array([seed], dtype=np.int64)
-        while frontier.size:
-            candidates = np.unique(gen_arr[:, frontier].ravel())
-            fresh = candidates[~visited[candidates]]
-            visited[fresh] = True
-            orbit.extend(int(x) for x in fresh)
-            frontier = fresh
-        out.append(tuple(sorted(orbit)))
+    out = [tuple(orbit) for orbit in _breadth_first_orbits(gen_arr, seeds)]
     if domain is not None:
         allowed = set(seeds)
         for orbit in out:
@@ -429,19 +460,18 @@ def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
 def _split_classes(group: PermutationGroup) -> tuple[tuple[Permutation, ...], ...]:
     E = images_matrix(group)
     element_keys = _element_keys(group)
-    n = len(group.elements)
+    elements = group.elements
     inv_base = np.argsort(E, axis=1)[:, : element_keys.base_length].astype(E.dtype)
-    visited = np.zeros(n, dtype=bool)
+    visited = np.zeros(len(E), dtype=bool)
     classes = []
-    for idx in range(n):
+    for idx, x in enumerate(E):
         if visited[idx]:
             continue
-        x = E[idx]
         # row m holds the base images of  g_m o x o g_m^{-1}
         conjugated = np.take_along_axis(E, x[inv_base], axis=1)
         member_idx = np.unique(element_keys.lookup(conjugated))
         visited[member_idx] = True
-        classes.append(tuple(group.elements[int(k)] for k in member_idx))
+        classes.append(tuple(elements[k] for k in member_idx.tolist()))
     return tuple(classes)
 
 
@@ -449,8 +479,8 @@ def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """Point stabilizer, returned with its members as generators."""
     if not 0 <= point < group.degree:
         raise ValueError("point out of range")
-    members = tuple(g for g in group.elements if g.images[point] == point)
-    return PermutationGroup(group.degree, members, members)
+    rows = group._images[group._images[:, point] == point]
+    return PermutationGroup(group.degree, map(Permutation._trusted, rows.tolist()), rows)
 
 
 def cayley_index_table(group: PermutationGroup) -> np.ndarray:
@@ -460,7 +490,7 @@ def cayley_index_table(group: PermutationGroup) -> np.ndarray:
         return group._cayley
     E = images_matrix(group)
     element_keys = _element_keys(group)
-    n = len(group.elements)
+    n = len(group)
     base_columns = E[:, : element_keys.base_length]
     rows = max(1, _PRODUCT_CHUNK // n)
     table = np.empty((n, n), dtype=np.int32)

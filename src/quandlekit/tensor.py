@@ -19,6 +19,7 @@ import numpy as np
 
 from .cayley import AffineSpec, CayleyQuandle
 from .modular import is_prime
+from .perms import _breadth_first_orbits
 
 Pair = tuple[int, int]
 
@@ -95,23 +96,8 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     table = np.asarray(quandle.table, dtype=np.int64)
     columns = table.T
     maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(n, n * n)
-    assigned = np.zeros(n * n, dtype=bool)
-    classes = []
-    for start in range(n * n):
-        if assigned[start]:
-            continue
-        assigned[start] = True
-        members = [start]
-        frontier = np.array([start], dtype=np.int64)
-        while frontier.size:
-            reached = np.unique(maps[:, frontier])
-            fresh = reached[~assigned[reached]]
-            assigned[fresh] = True
-            members.extend(fresh.tolist())
-            frontier = fresh
-        members.sort()
-        classes.append(tuple((k // n, k % n) for k in members))
-    square = TensorSquare(classes=tuple(classes))
+    orbits = _breadth_first_orbits(maps, range(n * n))
+    square = TensorSquare(classes=tuple(tuple(divmod(k, n) for k in o) for o in orbits))
     object.__setattr__(quandle, "_tensor_square", square)
     return square
 

@@ -16,9 +16,11 @@ from quandlekit import (
     affine_extension,
     affine_quandle,
     automorphism_permutations,
+    burnside_rank,
     close_group,
     dihedral_quandle,
     double_cosets,
+    inner_generators,
     inner_group,
     is_gelfand_pair,
     is_multiplicity_free,
@@ -305,3 +307,26 @@ def test_double_coset_test_memory():
     assert peak < 8 * 2**20
     # the |G| x |G| Cayley index table was never built
     assert group._cayley is None
+
+
+def test_array_held_group_memory():
+    """Closing Inn, its stabilizer, both double-coset routes and the
+    Burnside rank work on the image array alone: no Permutation object per
+    element is built, and what stays held is about the array and its keys."""
+    import tracemalloc
+
+    generators = inner_generators(affine_quandle(AffineSpec(47, 5)))
+    tracemalloc.start()
+    try:
+        group = close_group(generators)
+        sub = stabilizer(group, 0)
+        part = double_cosets(group, sub)
+        verdict = is_gelfand_pair(group, sub, part)
+        rank = burnside_rank(group)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(group), len(sub), len(part), verdict, rank) == (2162, 46, 2, True, 2)
+    assert peak < 1.5 * 2**20
+    assert held < 0.6 * 2**20
+    assert group._elements is None

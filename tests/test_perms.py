@@ -323,3 +323,53 @@ def test_group_requires_identity_and_rejects_duplicates():
         PermutationGroup.from_elements(
             [Permutation.identity(2), Permutation.identity(2)]
         )
+
+
+def test_group_rejects_mixed_degrees():
+    with pytest.raises(ValueError, match=r"^elements of mixed degrees \[2, 3\]$"):
+        PermutationGroup.from_elements([Permutation.identity(2), Permutation((0, 2, 1))])
+
+
+def _membership_probes(group, base_length, rng):
+    """Permutations of the group's degree to look up: every member, a
+    member changed only after the base (where the degree leaves room), the
+    reversal and random ones."""
+    degree = group.degree
+    probes = list(group.elements)
+    if degree - base_length >= 2:
+        for member in rng.sample(group.elements, min(10, len(group))):
+            images = list(member.images)
+            images[-2], images[-1] = images[-1], images[-2]
+            probes.append(Permutation(images))
+    probes.append(Permutation(range(degree - 1, -1, -1)))
+    for _ in range(50):
+        images = list(range(degree))
+        rng.shuffle(images)
+        probes.append(Permutation(images))
+    return probes
+
+
+def test_membership_matches_plain_index():
+    rng = random.Random(1)
+    for name, group, base_length in _indexing_cases():
+        reference = {p.images: i for i, p in enumerate(group.elements)}
+        probes = _membership_probes(group, base_length, rng)
+        assert any(p.images not in reference for p in probes) == (name != "S4"), name
+        for perm in probes:
+            assert (perm in group) == (perm.images in reference), (name, perm)
+            if perm.images in reference:
+                assert group.index_of(perm) == reference[perm.images], (name, perm)
+            else:
+                with pytest.raises(KeyError) as exc:
+                    group.index_of(perm)
+                assert exc.value.args == (perm.images,), name
+                assert not group.contains_group(close_group([perm])), (name, perm)
+        assert group.contains_group(group), name
+        assert group.contains_group(stabilizer(group, 0)), name
+        assert group.elements[0].images not in group, name
+
+        other = Permutation.identity(group.degree + 1)
+        assert other not in group, name
+        with pytest.raises(KeyError):
+            group.index_of(other)
+        assert not group.contains_group(close_group([other])), name
