@@ -1,13 +1,18 @@
 """Multiplicity-freeness and Gelfand pairs by exact integer arithmetic.
 
-Two routes to the same question.  The orbital route materializes each
-tensor class as a 0/1 matrix; these matrices span the algebra of
+Two routes to the same question.  The orbital route works in the algebra
+spanned by the 0/1 matrices of the tensor classes (the orbital, or
+Hecke, algebra of a coherent configuration: Higman, "Coherent
+configurations I", Geom. Dedicata, 1975).  These matrices span the
 Inn-equivariant endomorphisms of the quandle module, so the module is
-multiplicity free exactly when they pairwise commute.  The double-coset
-route works inside the integer group ring: (G, K) is a Gelfand pair when
-the sums over double cosets K g K commute with each other.  For a
-connected quandle with G = Inn and K a point stabilizer the two verdicts
-agree, and the test suite leans on that agreement.
+multiplicity free exactly when they pairwise commute, and a product
+A_i A_j is fixed by its structure constants, its entries at the class
+representatives; is_multiplicity_free compares those constants without
+forming a matrix.  The double-coset route works inside the integer group
+ring: (G, K) is a Gelfand pair when the sums over double cosets K g K
+commute with each other.  For a connected quandle with G = Inn and K a
+point stabilizer the two verdicts agree, and the test suite leans on
+that agreement.
 
 Neither double-coset function builds the |G| x |G| Cayley index table:
 products are formed from base images and located by key lookup (see
@@ -64,14 +69,9 @@ def orbital_matrices(quandle: CayleyQuandle) -> OrbitalMatrixSet:
     """Indicator matrices of the tensor classes, in class order."""
     ts = tensor_square(quandle)
     n = quandle.order
-    mats = []
-    for cls in ts.classes:
-        mat = np.zeros((n, n), dtype=np.int64)
-        rows = [p[0] for p in cls]
-        cols = [p[1] for p in cls]
-        mat[rows, cols] = 1
-        mats.append(mat)
-    return OrbitalMatrixSet(tensor=ts, matrices=tuple(mats))
+    grid = ts.labels.reshape(n, n)
+    stack = (grid == np.arange(len(ts))[:, None, None]).astype(np.int64)
+    return OrbitalMatrixSet(tensor=ts, matrices=tuple(stack))
 
 
 @dataclass(frozen=True)
@@ -112,28 +112,44 @@ def is_multiplicity_free(quandle: CayleyQuandle) -> MultiplicityFreeResult:
 
     Requires a connected quandle (only then is the module a transitive
     permutation module whose endomorphism algebra the orbital matrices
-    span).  Exact integer matrix products throughout.
+    span).  With L the n x n array of tensor classes, the structure
+    constant c_k[i, j] = (A_i A_j)[x_k, y_k] at the representative
+    (x_k, y_k) of class k counts the y with L[x_k, y] = i and
+    L[y, y_k] = j.  The matrices commute exactly when every c_k is
+    symmetric, that is when, for each k, the pairs (L[x_k, y], L[y, y_k])
+    over y form the same multiset as their swaps; two sorted key arrays
+    decide that, r n keys for r classes.  Exact integers throughout.
+
+    The witness is the first pair i < j whose matrices do not commute and
+    the first entry of A_i A_j - A_j A_i, in row-major order, that is not
+    zero: the first (row, column) whose class k has c_k[i, j] != c_k[j, i].
     """
     if not is_connected(quandle):
         raise NotConnected("multiplicity-freeness test needs a connected quandle")
-    mats = orbital_matrices(quandle).matrices
-    count = len(mats)
-    for i in range(count):
-        for j in range(i + 1, count):
-            left = mats[i] @ mats[j]
-            right = mats[j] @ mats[i]
-            if not np.array_equal(left, right):
-                row, col = np.argwhere(left != right)[0]
-                witness = CommutationWitness(
-                    first=i,
-                    second=j,
-                    row=int(row),
-                    column=int(col),
-                    left_value=int(left[row, col]),
-                    right_value=int(right[row, col]),
-                )
-                return MultiplicityFreeResult(False, witness, count)
-    return MultiplicityFreeResult(True, None, count)
+    ts = tensor_square(quandle)
+    n, rank = quandle.order, len(ts)
+    grid = ts.labels.reshape(n, n)
+    rep_rows, rep_cols = np.divmod(ts.starts, n)
+    # [k, y]: class of (x_k, y) and class of (y, y_k)
+    left = grid[rep_rows]
+    right = grid[:, rep_cols].T
+    forward = np.sort(left * rank + right, axis=1)
+    backward = np.sort(right * rank + left, axis=1)
+    failing = np.flatnonzero((forward != backward).any(axis=1))
+    if not failing.size:
+        return MultiplicityFreeResult(True, None, rank)
+    # c_k for one failing k at a time, never an r^3 array: its first i < j
+    pairs = []
+    for k in failing.tolist():
+        counts = np.bincount(left[k] * rank + right[k], minlength=rank**2).reshape(rank, rank)
+        pairs.append(tuple(np.argwhere(np.triu(counts != counts.T))[0].tolist()))
+    i, j = min(pairs)
+    forward = np.count_nonzero((left == i) & (right == j), axis=1)
+    backward = np.count_nonzero((left == j) & (right == i), axis=1)
+    row, column = np.argwhere((forward != backward)[grid])[0].tolist()
+    k = grid[row, column]
+    witness = CommutationWitness(i, j, row, column, int(forward[k]), int(backward[k]))
+    return MultiplicityFreeResult(False, witness, rank)
 
 
 def symmetric_orbital_shortcut(quandle: CayleyQuandle) -> bool:
@@ -142,8 +158,8 @@ def symmetric_orbital_shortcut(quandle: CayleyQuandle) -> bool:
     necessary."""
     if not is_connected(quandle):
         raise NotConnected("shortcut applies to connected quandles")
-    mats = orbital_matrices(quandle).matrices
-    return all(np.array_equal(m, m.T) for m in mats)
+    ts = tensor_square(quandle)
+    return np.array_equal(ts._partners(), np.arange(len(ts)))
 
 
 @dataclass(frozen=True, eq=False)

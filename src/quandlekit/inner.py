@@ -22,9 +22,9 @@ from .modular import geometric_sum
 from .perms import (
     Permutation,
     PermutationGroup,
+    _orbit_labels,
     close_group,
     element_order,
-    orbits,
 )
 
 
@@ -36,19 +36,22 @@ class RelationFailure(Exception):
     pass
 
 
-def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
-    """All right translations R_y, one per element; memoised on q.
+def _translation_rows(q: CayleyQuandle) -> np.ndarray:
+    """The transposed table as an (n, n) intp array: row y is the column
+    map x -> x > y.  Every row is checked to be a bijection at once,
+    because a directly constructed CayleyQuandle has not been validated; a
+    row that is not raises ValueError, as right_translation does."""
+    n = q.order
+    columns = np.array(q.table, dtype=np.intp).reshape(n, n).T
+    if (np.sort(columns, axis=1) != np.arange(n)).any():
+        raise ValueError("images must list each of 0..n-1 exactly once")
+    return columns
 
-    Row y of the transposed table is the column map x -> x > y.  Every
-    column is checked to be a bijection at once, because a directly
-    constructed CayleyQuandle has not been validated; a column that is not
-    raises ValueError, as right_translation does."""
+
+def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
+    """All right translations R_y, one per element; memoised on q."""
     if q._inner_generators is None:
-        n = q.order
-        columns = np.array(q.table, dtype=np.int64).reshape(n, n).T
-        if (np.sort(columns, axis=1) != np.arange(n)).any():
-            raise ValueError("images must list each of 0..n-1 exactly once")
-        gens = tuple(Permutation._trusted(row) for row in columns.tolist())
+        gens = tuple(map(Permutation._trusted, _translation_rows(q).tolist()))
         object.__setattr__(q, "_inner_generators", gens)
     return q._inner_generators
 
@@ -61,9 +64,9 @@ def inner_group(q: CayleyQuandle) -> PermutationGroup:
 
 
 def is_connected(q: CayleyQuandle) -> bool:
-    """True when the inner group acts transitively (one orbit of the
-    translation generators suffices to decide this)."""
-    return len(orbits(inner_generators(q))) == 1
+    """True when the inner group acts transitively: every point's orbit
+    under the right translations has least point 0."""
+    return not _orbit_labels(_translation_rows(q)).any()
 
 
 @dataclass(frozen=True)

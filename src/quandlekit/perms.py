@@ -370,26 +370,24 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
     return PermutationGroup(degree, gens, E)
 
 
-def _breadth_first_orbits(maps: np.ndarray, seeds) -> list[list[int]]:
-    """Orbits of the maps, one per row of an integer array acting on
-    0..width-1, found by breadth-first search from each seed not yet
-    reached, in seed order; each orbit is sorted."""
-    visited = np.zeros(maps.shape[1], dtype=bool)
-    out = []
-    for seed in seeds:
-        if visited[seed]:
-            continue
-        visited[seed] = True
-        orbit = [seed]
-        frontier = np.array([seed], dtype=np.intp)
-        while frontier.size:
-            reached = np.unique(maps[:, frontier])
-            fresh = reached[~visited[reached]]
-            visited[fresh] = True
-            orbit.extend(fresh.tolist())
-            frontier = fresh
-        out.append(sorted(orbit))
-    return out
+def _orbit_labels(maps: np.ndarray) -> np.ndarray:
+    """Least point of each point's orbit under the permutations given as
+    the rows of an integer array acting on 0..width-1.
+
+    Min-label propagation with pointer jumping: each round lowers every
+    label to the label of its image under each map in turn, then replaces
+    it by the label of the point it names, until a round changes nothing.
+    A label only ever names a point of the same orbit and never rises, and
+    at the fixpoint it is constant along every cycle of every map, so it is
+    the orbit's least point.  Labels have the dtype of ``maps``."""
+    label = np.arange(maps.shape[1], dtype=maps.dtype)
+    while True:
+        before = label.copy()
+        for row in maps:
+            np.minimum(label, label[row], out=label)
+        label = label[label]
+        if np.array_equal(label, before):
+            return label
 
 
 def orbits(group, domain=None) -> list[tuple[int, ...]]:
@@ -404,20 +402,22 @@ def orbits(group, domain=None) -> list[tuple[int, ...]]:
         if not gens:
             raise ValueError("need at least one permutation")
         degree = gens[0].degree
-    gen_arr = np.array([g.images for g in gens], dtype=np.int64)
     if domain is None:
         seeds = range(degree)
     else:
         seeds = sorted(set(int(x) for x in domain))
         if seeds and (seeds[0] < 0 or seeds[-1] >= degree):
             raise ValueError("domain points out of range")
-    out = [tuple(orbit) for orbit in _breadth_first_orbits(gen_arr, seeds)]
-    if domain is not None:
-        allowed = set(seeds)
-        for orbit in out:
-            stray = [x for x in orbit if x not in allowed]
-            if stray:
-                raise ValueError(f"orbit escapes the given domain at {stray[0]}")
+    label = _orbit_labels(np.array([g.images for g in gens], dtype=np.intp))
+    allowed = set(seeds)
+    out = []
+    # by least seed, which is the least point of an orbit inside the domain
+    for least in dict.fromkeys(label[list(seeds)].tolist()):
+        orbit = tuple(np.flatnonzero(label == least).tolist())
+        stray = [x for x in orbit if x not in allowed]
+        if stray:
+            raise ValueError(f"orbit escapes the given domain at {stray[0]}")
+        out.append(orbit)
     return out
 
 

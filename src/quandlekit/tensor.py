@@ -7,7 +7,10 @@ classes, and the quotient under that involution is computed here too.
 For connected affine quandles with prime modulus both objects have closed
 forms driven by the difference y - x, which this module also provides.
 
-The tensor square is memoised on its quandle and holds no reference to it.
+A tensor square is held as arrays over pair indices x*n + y: the class
+of every pair, the least pair of every class and the class sizes.  The
+classes as tuples of pairs are built only when read.  The tensor square
+is memoised on its quandle and holds no reference to it.
 """
 
 from __future__ import annotations
@@ -19,43 +22,62 @@ import numpy as np
 
 from .cayley import AffineSpec, CayleyQuandle
 from .modular import is_prime
-from .perms import _breadth_first_orbits
+from .perms import _orbit_labels
 
 Pair = tuple[int, int]
+
+
+def _pair_classes(order: int, labels: np.ndarray):
+    """Pairs grouped by class label, each class sorted, in label order."""
+    xs, ys = np.divmod(np.argsort(labels, kind="stable"), order)
+    pairs = list(zip(xs.tolist(), ys.tolist()))
+    bounds = np.cumsum(np.bincount(labels)).tolist()
+    return tuple(tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds))
 
 
 @dataclass(frozen=True, eq=False)
 class TensorSquare:
     """Partition of the pair space into diagonal-action orbits.
 
-    Each class is sorted and the classes are ordered by their least pair,
-    which doubles as the class representative.
+    ``labels[x*n + y]`` is the class of the pair (x, y); ``starts[i]`` is
+    the pair index of the least pair of class i, which doubles as the class
+    representative; ``counts[i]`` is the size of class i.  Classes are
+    ordered by their least pair, and each class read from ``classes`` is
+    sorted.
     """
 
-    classes: tuple[tuple[Pair, ...], ...]
+    order: int
+    labels: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
 
     @property
     def representatives(self) -> tuple[Pair, ...]:
-        return tuple(c[0] for c in self.classes)
+        return tuple(divmod(k, self.order) for k in self.starts.tolist())
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return tuple(self.counts.tolist())
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.counts)
 
     @cached_property
-    def _lookup(self) -> dict[Pair, int]:
-        table = {}
-        for idx, cls in enumerate(self.classes):
-            for pair in cls:
-                table[pair] = idx
-        return table
+    def classes(self) -> tuple[tuple[Pair, ...], ...]:
+        return _pair_classes(self.order, self.labels)
 
     def class_of(self, pair: Pair) -> int:
-        """Index of the class containing the pair."""
-        return self._lookup[pair]
+        """Index of the class containing the pair; KeyError when the pair
+        is not in the pair space."""
+        x, y = pair
+        if not (0 <= x < self.order and 0 <= y < self.order):
+            raise KeyError(pair)
+        return int(self.labels[x * self.order + y])
+
+    def _partners(self) -> np.ndarray:
+        """Class of the swap image of each class's representative."""
+        x, y = np.divmod(self.starts, self.order)
+        return self.labels[y * self.order + x]
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,41 +85,52 @@ class TauQuotient:
     """Tensor classes merged under the swap involution.
 
     merged_from[i] lists the tensor-class indices (one or two) fused into
-    quotient class i.
+    quotient class i; quotient classes are ordered by their least pair.
     """
 
     tensor: TensorSquare
-    classes: tuple[tuple[Pair, ...], ...]
     merged_from: tuple[tuple[int, ...], ...]
 
     @property
     def representatives(self) -> tuple[Pair, ...]:
-        return tuple(c[0] for c in self.classes)
+        reps = self.tensor.representatives
+        return tuple(reps[group[0]] for group in self.merged_from)
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        counts = self.tensor.sizes
+        return tuple(sum(counts[i] for i in group) for group in self.merged_from)
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.merged_from)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Pair, ...], ...]:
+        """Pairs of each quotient class, sorted.  Ranking the lesser of each
+        tensor class and its partner numbers the quotient classes."""
+        tensor = self.tensor
+        lesser = np.minimum(np.arange(len(tensor)), tensor._partners())
+        quotient = np.unique(lesser, return_inverse=True)[1]
+        return _pair_classes(tensor.order, quotient[tensor.labels])
 
 
 def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     """Orbits of X x X under all right translations acting diagonally;
     memoised on the quandle.
 
-    Breadth-first closure on pair indices x*n + y, applying generators
-    only; pair-index order coincides with lexicographic pair order, so the
-    emitted classes come out sorted with least-pair representatives.
+    Min-label propagation over pair indices x*n + y (perms._orbit_labels)
+    labels each pair with the least pair index of its orbit; pair-index
+    order coincides with lexicographic pair order, so ranking those labels
+    orders the classes by their least pair.
     """
     if quandle._tensor_square is not None:
         return quandle._tensor_square
     n = quandle.order
-    table = np.asarray(quandle.table, dtype=np.int64)
-    columns = table.T
+    columns = np.array(quandle.table, dtype=np.int32).T
     maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(n, n * n)
-    orbits = _breadth_first_orbits(maps, range(n * n))
-    square = TensorSquare(classes=tuple(tuple(divmod(k, n) for k in o) for o in orbits))
+    labels = _orbit_labels(maps)
+    starts, labels, counts = np.unique(labels, return_inverse=True, return_counts=True)
+    square = TensorSquare(order=n, labels=labels, starts=starts, counts=counts)
     object.__setattr__(quandle, "_tensor_square", square)
     return square
 
@@ -105,32 +138,14 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
 def tau_quotient(tensor: TensorSquare) -> TauQuotient:
     """Merge tensor classes with their swap images.
 
-    The swap (x, y) -> (y, x) permutes the classes, so it suffices to look
-    up the class of one swapped representative per class.
+    The swap (x, y) -> (y, x) permutes the classes, so the class of one
+    swapped representative per class is its partner.  Each class is listed
+    with its partner when it is the lesser of the two; since classes are
+    ordered by least pair, that lists the merged classes by least pair.
     """
-    partner = []
-    for idx, cls in enumerate(tensor.classes):
-        x, y = cls[0]
-        partner.append(tensor.class_of((y, x)))
-    merged: list[tuple[int, ...]] = []
-    taken = set()
-    for idx, other in enumerate(partner):
-        if idx in taken:
-            continue
-        taken.add(idx)
-        group = (idx,) if other == idx else (idx, other)
-        taken.add(other)
-        merged.append(group)
-    quotient = []
-    for group in merged:
-        pairs = sorted(p for i in group for p in tensor.classes[i])
-        quotient.append(tuple(pairs))
-    order = sorted(range(len(quotient)), key=lambda i: quotient[i][0])
-    return TauQuotient(
-        tensor=tensor,
-        classes=tuple(quotient[i] for i in order),
-        merged_from=tuple(tuple(sorted(merged[i])) for i in order),
-    )
+    partners = enumerate(tensor._partners().tolist())
+    merged = tuple((i,) if p == i else (i, p) for i, p in partners if p >= i)
+    return TauQuotient(tensor=tensor, merged_from=merged)
 
 
 def _require_prime(spec: AffineSpec) -> int:

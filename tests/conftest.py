@@ -1,4 +1,5 @@
-"""Shared helpers for the suite: spec enumeration and small fixtures."""
+"""Shared helpers for the suite: spec enumeration, a plain reference for
+tensor classes and small fixtures."""
 
 import pytest
 
@@ -8,17 +9,43 @@ from quandlekit.tables import bundled_order12
 
 
 def connected_affine_specs(max_order, prime_only=False):
-    """Every connected affine spec with modulus up to max_order; the
-    multiplier 1 never qualifies, so all listed specs have n > 1."""
-    specs = []
+    """Yield every connected affine spec with modulus up to max_order; the
+    multiplier 1 never qualifies, so all specs have n > 1.  A spec holds
+    the quandle, inner group and tensor square built from it, so a sweep
+    that keeps no spec frees what each one built before the next."""
     for m in range(3, max_order + 1):
         if prime_only and not is_prime(m):
             continue
         for t in units(m):
             spec = AffineSpec(m, t)
             if spec.is_connected_admissible:
-                specs.append(spec)
-    return specs
+                yield spec
+
+
+def reference_tensor_classes(q):
+    """Orbits of the pair space by plain breadth-first search under the
+    right translations, each sorted, ordered by least pair."""
+    n = q.order
+    table = q.table
+    seen = set()
+    classes = []
+    for start in ((x, y) for x in range(n) for y in range(n)):
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            fresh = []
+            for a, b in frontier:
+                for g in range(n):
+                    pair = (table[a][g], table[b][g])
+                    if pair not in orbit:
+                        orbit.add(pair)
+                        fresh.append(pair)
+            frontier = fresh
+        seen |= orbit
+        classes.append(tuple(sorted(orbit)))
+    return tuple(classes)
 
 
 @pytest.fixture(scope="session")

@@ -22,6 +22,7 @@ from quandlekit import (
     double_cosets,
     inner_generators,
     inner_group,
+    is_connected,
     is_gelfand_pair,
     is_multiplicity_free,
     orbital_matrices,
@@ -29,8 +30,10 @@ from quandlekit import (
     symmetric_orbital_shortcut,
     tensor_square,
     trivial_quandle,
+    validate_quandle,
 )
-from conftest import connected_affine_specs
+from quandlekit.perms import conjugacy_classes
+from conftest import connected_affine_specs, reference_tensor_classes
 
 
 def test_orbital_matrices_partition_all_ones():
@@ -93,6 +96,69 @@ def test_order12_not_multiplicity_free(order12):
     right = mats[w.second] @ mats[w.first]
     assert left[w.row, w.column] == w.left_value
     assert right[w.row, w.column] == w.right_value
+
+
+def _reference_multiplicity_free(q):
+    """(verdict, witness text, class count) by the pairwise matrix loop:
+    one 0/1 matrix per reference tensor class, and the first non-commuting
+    pair i < j with the first differing product entry in row-major order."""
+    n = q.order
+    classes = reference_tensor_classes(q)
+    count = len(classes)
+    mats = [np.zeros((n, n), dtype=np.int64) for _ in range(count)]
+    for index, cls in enumerate(classes):
+        for x, y in cls:
+            mats[index][x, y] = 1
+    for i in range(count):
+        for j in range(i + 1, count):
+            left = mats[i] @ mats[j]
+            right = mats[j] @ mats[i]
+            if not np.array_equal(left, right):
+                row, col = np.argwhere(left != right)[0]
+                text = (
+                    f"orbital matrices {i} and {j} do not commute: product entry "
+                    f"({row},{col}) is {left[row, col]} one way and "
+                    f"{right[row, col]} the other"
+                )
+                return False, text, count
+    return True, None, count
+
+
+def _conjugation_quandles(degree):
+    """x > y = y x y^-1 on each nontrivial conjugacy class of S_degree,
+    the class listed in image-tuple order."""
+    symmetric = close_group([
+        Permutation.from_cycles(degree, [tuple(range(degree))]),
+        Permutation.from_cycles(degree, [(0, 1)]),
+    ])
+    for cls in conjugacy_classes(symmetric).classes[1:]:
+        index = {p: i for i, p in enumerate(cls)}
+        yield validate_quandle([[index[y * x * y.inverse()] for y in cls] for x in cls])
+
+
+def test_multiplicity_free_matches_pairwise_reference(order12):
+    quandles = [q for degree in (4, 5) for q in _conjugation_quandles(degree)]
+    quandles = [q for q in quandles if is_connected(q)]
+    quandles += [order12, dihedral_quandle(9)]
+    quandles += [affine_quandle(s) for s in connected_affine_specs(13)]
+    negatives = {}
+    for q in quandles:
+        result = is_multiplicity_free(q)
+        text = None if result.witness is None else result.witness.describe()
+        expected = _reference_multiplicity_free(q)
+        assert (result.value, text, result.orbital_count) == expected, q
+        if not result:
+            negatives[q.order] = text
+    assert negatives == {
+        12: "orbital matrices 1 and 2 do not commute: product entry (0,2) is 0 "
+            "one way and 1 the other",
+        20: "orbital matrices 1 and 2 do not commute: product entry (0,3) is 0 "
+            "one way and 1 the other",
+        15: "orbital matrices 1 and 3 do not commute: product entry (0,4) is 0 "
+            "one way and 1 the other",
+        30: "orbital matrices 1 and 4 do not commute: product entry (0,8) is 1 "
+            "one way and 0 the other",
+    }
 
 
 def test_shortcut_implies_multiplicity_free():
@@ -330,3 +396,21 @@ def test_array_held_group_memory():
     assert peak < 1.5 * 2**20
     assert held < 0.6 * 2**20
     assert group._elements is None
+
+
+def test_tensor_square_memory():
+    """The tensor square and the orbital verdict of (47, 5) work on label
+    arrays: no tuple per pair and no matrix per class is built or held."""
+    import tracemalloc
+
+    quandle = affine_quandle(AffineSpec(47, 5))
+    tracemalloc.start()
+    try:
+        square = tensor_square(quandle)
+        result = is_multiplicity_free(quandle)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (len(square), result.value, result.orbital_count) == (2, True, 2)
+    assert peak < 0.75 * 2**20
+    assert held < 0.1 * 2**20

@@ -61,6 +61,8 @@ def test_inner_generators_reject_a_column_that_is_not_a_bijection():
         right_translation(q, 1)
     with pytest.raises(ValueError):
         inner_generators(q)
+    with pytest.raises(ValueError):
+        is_connected(q)
 
 
 def test_inner_group_order_is_modulus_times_multiplier_order():
@@ -239,7 +241,7 @@ def test_translation_class_all_primes():
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(connected_affine_specs(19)), st.data())
+@given(st.sampled_from(list(connected_affine_specs(19))), st.data())
 def test_normal_form_multiplication_rule(spec, data):
     # normal form (i, j) is the map x -> t^i x + j (1 - t), so composing
     # (i1, j1) after (i2, j2) scales the second shift by t^i1

@@ -23,7 +23,7 @@ from quandlekit.perms import (
     orbits,
     stabilizer,
 )
-from quandlekit.perms import _element_keys
+from quandlekit.perms import _element_keys, _orbit_labels
 
 
 def _indexing_cases():
@@ -243,6 +243,59 @@ def test_orbits_basics():
 
     with pytest.raises(ValueError):
         orbits([Permutation((1, 0, 2))], domain=[0])
+
+
+def _reference_orbits(gens, seeds):
+    """Orbits by plain breadth-first search from each seed not yet reached,
+    in seed order, each sorted; ValueError when one leaves the seeds."""
+    seen = set()
+    out = []
+    for start in seeds:
+        if start in seen:
+            continue
+        orbit = {start}
+        frontier = [start]
+        while frontier:
+            fresh = []
+            for x in frontier:
+                for g in gens:
+                    if g(x) not in orbit:
+                        orbit.add(g(x))
+                        fresh.append(g(x))
+            frontier = fresh
+        seen |= orbit
+        out.append(tuple(sorted(orbit)))
+    for orbit in out:
+        stray = [x for x in orbit if x not in seeds]
+        if stray:
+            raise ValueError(f"orbit escapes the given domain at {stray[0]}")
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(_generator_lists(4), st.data())
+def test_orbit_labels_match_plain_search(gens, data):
+    if data.draw(st.booleans()):
+        gens = gens + gens[: data.draw(st.integers(0, len(gens)))]
+    if data.draw(st.booleans()):
+        gens.insert(data.draw(st.integers(0, len(gens))), Permutation.identity(gens[0].degree))
+    degree = gens[0].degree
+    reference = _reference_orbits(gens, list(range(degree)))
+    least = [next(o[0] for o in reference if x in o) for x in range(degree)]
+    for dtype in (np.int32, np.intp):
+        labels = _orbit_labels(np.array([g.images for g in gens], dtype=dtype))
+        assert labels.dtype == dtype
+        assert labels.tolist() == least
+    assert orbits(gens) == reference
+
+    domain = sorted(data.draw(st.sets(st.integers(0, degree - 1))))
+    try:
+        expected = _reference_orbits(gens, domain)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=f"^{exc}$"):
+            orbits(gens, domain=domain)
+    else:
+        assert orbits(gens, domain=domain) == expected
 
 
 def test_conjugacy_classes_examples():

@@ -1,5 +1,7 @@
 """Tensor squares, the swap quotient, and their affine closed forms."""
 
+import random
+
 import pytest
 
 from quandlekit import (
@@ -8,6 +10,7 @@ from quandlekit import (
     affine_tensor_class,
     affine_tensor_class_swapped,
     burnside_rank,
+    dihedral_quandle,
     inner_group,
     orbital_invariant,
     predicted_tau_size,
@@ -15,8 +18,9 @@ from quandlekit import (
     tau_quotient,
     tensor_square,
     trivial_quandle,
+    validate_quandle,
 )
-from conftest import connected_affine_specs
+from conftest import connected_affine_specs, reference_tensor_classes
 
 
 def test_tensor_square_13_8():
@@ -165,3 +169,63 @@ def test_order12_tensor_and_tau(order12):
     tau = tau_quotient(ts)
     assert len(tau) == 6
     assert sum(ts.sizes) == 144
+
+
+def _reference_tau(classes):
+    """(classes, merged_from) of the swap quotient: each class united with
+    the class of its swapped pairs, ordered by least pair."""
+    index = {pair: i for i, cls in enumerate(classes) for pair in cls}
+    merged = {}
+    for i, cls in enumerate(classes):
+        x, y = cls[0]
+        group = tuple(sorted({i, index[(y, x)]}))
+        merged[group] = tuple(sorted(p for k in group for p in classes[k]))
+    ordered = sorted(merged.items(), key=lambda item: item[1][0])
+    return tuple(c for _, c in ordered), tuple(g for g, _ in ordered)
+
+
+def _relabelled(q, rng):
+    n = q.order
+    sigma = list(range(n))
+    rng.shuffle(sigma)
+    table = [[0] * n for _ in range(n)]
+    for x in range(n):
+        for y in range(n):
+            table[sigma[x]][sigma[y]] = sigma[q.table[x][y]]
+    return validate_quandle(table)
+
+
+def test_tensor_square_and_tau_match_plain_search_on_relabelled_tables(order12):
+    rng = random.Random(10)
+    sources = [
+        order12,
+        dihedral_quandle(9),
+        dihedral_quandle(6),
+        trivial_quandle(3),
+        affine_quandle(AffineSpec(13, 9)),
+        affine_quandle(AffineSpec(13, 8)),
+        affine_quandle(AffineSpec(21, 11)),
+        affine_quandle(AffineSpec(9, 4)),
+    ]
+    for source in sources:
+        for _ in range(2):
+            q = _relabelled(source, rng)
+            n = q.order
+            expected = reference_tensor_classes(q)
+            ts = tensor_square(q)
+            assert ts.classes == expected
+            assert len(ts) == len(expected)
+            assert ts.representatives == tuple(c[0] for c in expected)
+            assert ts.sizes == tuple(len(c) for c in expected)
+            for idx, cls in enumerate(expected):
+                assert all(ts.class_of(pair) == idx for pair in cls)
+            for pair in ((n, 0), (0, n), (-1, 0)):
+                with pytest.raises(KeyError):
+                    ts.class_of(pair)
+            tau = tau_quotient(ts)
+            tau_classes, merged_from = _reference_tau(expected)
+            assert tau.merged_from == merged_from
+            assert tau.classes == tau_classes
+            assert len(tau) == len(tau_classes)
+            assert tau.representatives == tuple(c[0] for c in tau_classes)
+            assert tau.sizes == tuple(len(c) for c in tau_classes)
