@@ -51,10 +51,8 @@ from .characters import (
     class_label,
     conjugate_orbit,
     decompose_prime_affine,
-    induced_matrices,
     inertia_group_size,
     inner_product,
-    irreducible_class_functions,
     metacyclic_irreducibles,
     permutation_character,
     trivial_character,

@@ -14,7 +14,7 @@ from .cayley import AffineSpec, CayleyQuandle, affine_quandle, right_translation
 from .characters import BadParameters, burnside_rank, decompose_prime_affine
 from .gelfand import is_gelfand_pair, is_multiplicity_free
 from .inner import inner_group, is_connected
-from .modular import is_prime, units
+from .modular import units
 from .perms import cycle_structure, stabilizer
 from .tensor import tau_quotient, tensor_square
 
@@ -184,13 +184,13 @@ def analyze(
     *,
     spec: AffineSpec | None = None,
     source: str = "table",
-    tol: float = 1e-6,
 ) -> AnalysisReport:
     """Run the full pipeline on one quandle.
 
     When the quandle came from an affine spec, pass it so the report can
-    skip recognition and attach the exact decomposition where the
-    metacyclic character family applies.
+    skip recognition.  A connected prime affine input, given or recognized,
+    gets the decomposition of its module into irreducibles with exact
+    integer multiplicities (decompose_prime_affine).
     """
     from . import __version__
     from .cayley import is_latin
@@ -230,18 +230,10 @@ def analyze(
 
     decomposition = None
     if matched is not None:
-        admissible = (
-            is_prime(matched.modulus)
-            and matched.is_connected_admissible
-            and matched.order_of_multiplier > 1
-        )
-        if admissible:
-            try:
-                decomposition = dict(
-                    sorted(decompose_prime_affine(matched, tol=tol).nonzero().items())
-                )
-            except BadParameters:
-                decomposition = None
+        try:
+            decomposition = dict(sorted(decompose_prime_affine(matched).nonzero().items()))
+        except BadParameters:
+            pass
 
     return AnalysisReport(
         source=source,

@@ -7,7 +7,8 @@ linear characters pulled back from Z_n together with (p-1)/n induced
 characters of degree n, one per orbit of the inverse multiplier u acting on
 Z_p*.  The induced character at orbit representative k takes the value
 sum_a w^(u^a k j) on the translation by j (w a primitive p-th root of
-unity) and vanishes off the translation subgroup.
+unity) and vanishes off the translation subgroup.  Only that table,
+MetacyclicFamily.value, is complex: the decomposition is integer arithmetic.
 """
 
 from __future__ import annotations
@@ -38,21 +39,21 @@ class NotTransitive(Exception):
 
 @dataclass(frozen=True, eq=False)
 class ClassFunction:
-    """Values on the conjugacy classes of a fixed group, in class order.
-    exact=True marks integer-valued functions stored as ints."""
+    """Integer values on the conjugacy classes of a group, in class order."""
 
     classes: ConjugacyClassSet
     values: tuple
-    exact: bool
 
     def __post_init__(self):
         if len(self.values) != len(self.classes.classes):
             raise ValueError("one value per class required")
+        if not all(isinstance(v, int) for v in self.values):
+            raise ValueError("class function values must be ints")
 
 
 def permutation_character(group: PermutationGroup,
                           classes: ConjugacyClassSet | None = None) -> ClassFunction:
-    """Fixed-point count of a class representative, per class.  Exact."""
+    """Fixed-point count of a class representative, per class."""
     if classes is None:
         classes = conjugacy_classes(group)
     if classes.group is not group and classes.group != group:
@@ -61,28 +62,21 @@ def permutation_character(group: PermutationGroup,
         sum(1 for x, y in enumerate(rep.images) if x == y)
         for rep in classes.representatives
     )
-    return ClassFunction(classes=classes, values=values, exact=True)
+    return ClassFunction(classes=classes, values=values)
 
 
 def trivial_character(classes: ConjugacyClassSet) -> ClassFunction:
-    return ClassFunction(classes=classes, values=(1,) * len(classes.classes), exact=True)
+    return ClassFunction(classes=classes, values=(1,) * len(classes.classes))
 
 
-def inner_product(a: ClassFunction, b: ClassFunction):
-    """(1/|G|) sum_g a(g) conj(b(g)), summed over classes with their sizes.
-    Returns an exact Fraction when both inputs are exact, else complex."""
+def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
+    """(1/|G|) sum_g a(g) b(g), summed over classes with their sizes, as an
+    exact Fraction (the values are real, so no conjugate is taken)."""
     if not a.classes.same_classes(b.classes):
         raise GroupMismatch("class functions live on different groups")
     sizes = a.classes.sizes
-    n = sum(sizes)
-    if a.exact and b.exact:
-        total = sum(s * av * bv for s, av, bv in zip(sizes, a.values, b.values))
-        return Fraction(total, n)
-    total = sum(
-        s * complex(av) * complex(bv).conjugate()
-        for s, av, bv in zip(sizes, a.values, b.values)
-    )
-    return total / n
+    total = sum(s * av * bv for s, av, bv in zip(sizes, a.values, b.values))
+    return Fraction(total, sum(sizes))
 
 
 def burnside_rank(group: PermutationGroup, *, strict: bool = False) -> int:
@@ -145,6 +139,17 @@ class MetacyclicFamily:
             return 1
         if irr.startswith("ind:"):
             return self.automorphism_order
+        raise ValueError(f"unknown irreducible {irr!r}")
+
+    def layer_sum(self, irr: str) -> int:
+        """Sum of irr over ("layer", i) for i = 1..n-1: n - 1 for triv, -1
+        for lin:k (the zeta_n^(ki) with n not dividing k), 0 for ind:k."""
+        if irr == "triv":
+            return self.automorphism_order - 1
+        if irr.startswith("lin:"):
+            return -1
+        if irr.startswith("ind:"):
+            return 0
         raise ValueError(f"unknown irreducible {irr!r}")
 
     def value(self, irr: str, label) -> complex:
@@ -220,24 +225,6 @@ def metacyclic_irreducibles(p: int, n: int, u: int) -> MetacyclicFamily:
     return family
 
 
-def induced_matrices(p: int, n: int, u: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Representing matrices (translation_image, scaling_image) of the
-    degree-n induced representation at index k: a diagonal of p-th roots
-    w^(u^a k) and the basis rotation e_a -> e_(a+1)."""
-    if not is_prime(p):
-        raise BadParameters(f"{p} is not prime")
-    if k % p == 0:
-        raise BadParameters("index must be nonzero mod p")
-    if multiplicative_order(u, p) != n:
-        raise BadParameters(f"{u} does not have order {n} modulo {p}")
-    exponents = [pow(u, a, p) * k % p for a in range(n)]
-    diag = np.diag([cmath.exp(2j * cmath.pi * e / p) for e in exponents])
-    shift = np.zeros((n, n), dtype=complex)
-    for a in range(n):
-        shift[(a + 1) % n, a] = 1
-    return diag, shift
-
-
 # ---------------------------------------------------------------------------
 # bridging abstract classes to the concrete inner group
 
@@ -251,31 +238,6 @@ def class_label(pres: InnerPresentation, g: Permutation) -> tuple:
         return ("identity",)
     p, t = pres.modulus, pres.multiplier
     return ("shift", min(conjugate_orbit(p, t, j)))
-
-
-def irreducible_class_functions(
-    family: MetacyclicFamily,
-    pres: InnerPresentation,
-    classes: ConjugacyClassSet,
-) -> dict[str, ClassFunction]:
-    """Each irreducible as a ClassFunction on the concrete class set."""
-    if family.prime != pres.modulus:
-        raise GroupMismatch("family and presentation disagree on the modulus")
-    if family.twist != pres.inverse_multiplier:
-        raise GroupMismatch("family twist must be the inverse multiplier")
-    labels = [class_label(pres, rep) for rep in classes.representatives]
-    size_check = {lab: family.class_size(lab) for lab in labels}
-    for lab, cls in zip(labels, classes.classes):
-        if size_check[lab] != len(cls):
-            raise GroupMismatch(f"class size mismatch at {lab!r}")
-    out = {}
-    for irr in family.irreducible_labels():
-        values = tuple(family.value(irr, lab) for lab in labels)
-        if irr == "triv":
-            out[irr] = ClassFunction(classes=classes, values=(1,) * len(values), exact=True)
-        else:
-            out[irr] = ClassFunction(classes=classes, values=values, exact=False)
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -292,10 +254,12 @@ class DecompositionResult:
         return {k: v for k, v in self.multiplicities.items() if v}
 
 
-def decompose_prime_affine(spec: AffineSpec, *, tol: float = 1e-6) -> DecompositionResult:
+def decompose_prime_affine(spec: AffineSpec) -> DecompositionResult:
     """Decompose the permutation module of Inn acting on a prime connected
-    affine quandle.  Multiplicities come from numeric inner products and
-    must sit within tol of integers; the dimension count is re-checked.
+    affine quandle in integers.  The permutation character chi must be 0 on
+    every shift class and one value c on all layer classes; each
+    multiplicity (chi(1) psi(1) + p c layer_sum(psi)) / (p n) must divide
+    exactly, and the dimensions must add up to p.  Else ArithmeticError.
 
     The quandle, its inner group and their class split are the ones
     memoised on ``spec`` (see affine_quandle and conjugacy_classes), so a
@@ -306,27 +270,31 @@ def decompose_prime_affine(spec: AffineSpec, *, tol: float = 1e-6) -> Decomposit
         raise BadParameters(f"modulus {p} is not prime")
     if not spec.is_connected_admissible:
         raise BadParameters("quandle is not connected")
-    if p == 1 or spec.multiplier == 1:
-        raise BadParameters("multiplier must act nontrivially")
     pres = presentation(spec)
     group = inner_group(affine_quandle(spec))
     classes = conjugacy_classes(group)
     chi = permutation_character(group, classes)
     n = spec.order_of_multiplier
     family = metacyclic_irreducibles(p, n, pres.inverse_multiplier)
-    chars = irreducible_class_functions(family, pres, classes)
+    at: dict[tuple, int] = {}
+    for rep, size, value in zip(classes.representatives, classes.sizes, chi.values):
+        label = class_label(pres, rep)
+        if family.class_size(label) != size:
+            raise GroupMismatch(f"class size mismatch at {label!r}")
+        at[label] = value
+    shifts = {at[label] for label in at if label[0] == "shift"}
+    layers = {at[label] for label in at if label[0] == "layer"}
+    if shifts != {0} or len(layers) != 1:
+        raise ArithmeticError("permutation character is off its shift and layer pattern")
+    (c,) = layers
     multiplicities: dict[str, int] = {}
-    for irr, cf in chars.items():
-        val = inner_product(chi, cf)
-        val = complex(val)
-        m = round(val.real)
-        if abs(val - m) > tol:
-            raise ArithmeticError(
-                f"inner product {val} for {irr} is not integral within {tol}"
-            )
-        multiplicities[irr] = int(m)
-    total_dim = sum(m * family.degree(irr) for irr, m in multiplicities.items())
-    if total_dim != p:
+    for irr in family.irreducible_labels():
+        total = at[("identity",)] * family.degree(irr) + p * c * family.layer_sum(irr)
+        m, remainder = divmod(total, p * n)
+        if remainder:
+            raise ArithmeticError(f"{total} is not divisible by {p * n} for {irr}")
+        multiplicities[irr] = m
+    if sum(m * family.degree(irr) for irr, m in multiplicities.items()) != p:
         raise ArithmeticError("multiplicities do not sum to the module dimension")
     rank = sum(m * m for m in multiplicities.values())
     return DecompositionResult(

@@ -117,7 +117,7 @@ def cmd_validate(args) -> int:
 
 def cmd_analyze(args) -> int:
     quandle, spec, source = _load(args)
-    report = analyze(quandle, spec=spec, source=source, tol=args.tol)
+    report = analyze(quandle, spec=spec, source=source)
     print(f"source:              {report.source}")
     print(f"order:               {report.order}")
     print(f"connected:           {_yesno(report.connected)}")
@@ -178,7 +178,7 @@ def cmd_decompose(args) -> int:
     if not args.affine:
         raise TableFormatError("decompose needs --affine P T with prime P")
     modulus, multiplier = args.affine
-    result = decompose_prime_affine(AffineSpec(modulus, multiplier), tol=args.tol)
+    result = decompose_prime_affine(AffineSpec(modulus, multiplier))
     print(f"affine {modulus} {multiplier}: {_decomposition_text(result.nonzero())}")
     print(f"rank: {result.rank}")
     print(f"multiplicity free: {_yesno(result.is_multiplicity_free)}")
@@ -277,8 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("analyze", help="full report on one quandle")
     _add_input_arguments(sub)
     sub.add_argument("--json", metavar="PATH", help="also write a JSON report ('-' for stdout)")
-    sub.add_argument("--tol", type=float, default=1e-6,
-                     help="integrality tolerance for character inner products")
     sub.set_defaults(handler=cmd_analyze)
 
     sub = subparsers.add_parser("tensor", help="tensor-square classes")
@@ -290,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose", help="irreducible multiplicities for a prime affine quandle"
     )
     sub.add_argument("--affine", nargs=2, type=int, metavar=("P", "T"), required=False)
-    sub.add_argument("--tol", type=float, default=1e-6)
     sub.set_defaults(handler=cmd_decompose)
 
     sub = subparsers.add_parser(

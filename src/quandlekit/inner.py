@@ -123,7 +123,8 @@ def element_from_normal_form(pres: InnerPresentation, i: int, j: int) -> Permuta
     m, t = pres.modulus, pres.multiplier
     a = pow(t, i % pres.scaling_order, m)
     b = (j * (1 - t)) % m
-    return Permutation((a * x + b) % m for x in range(m))
+    # a is a power of the unit t, so x -> a x + b is a bijection
+    return Permutation._trusted((a * x + b) % m for x in range(m))
 
 
 def normal_form(g: Permutation, pres: InnerPresentation) -> tuple[int, int]:

@@ -259,8 +259,8 @@ def images_matrix(group: PermutationGroup) -> np.ndarray:
 
 _KEY_LIMIT = 1 << 63
 
-# Products located per step, by the Cayley index table and by the
-# double-coset passes; bounds the int64 keys held at once.
+# Products formed or located per step by close_group, the Cayley index
+# table and the double-coset passes; bounds the rows and keys held at once.
 _PRODUCT_CHUNK = 1 << 14
 
 
@@ -335,8 +335,8 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
     Generators are taken in the order given.  One that already lies in the
     closure built so far is skipped; when one is kept, the closure is run
     again from every element seen so far under all kept generators.  The
-    returned group still lists every generator passed in.  Raises
-    GroupTooLarge past ``cap``."""
+    returned group still lists every generator passed in.  The first block
+    of at most _PRODUCT_CHUNK products that passes ``cap`` raises GroupTooLarge."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -353,15 +353,18 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
             continue
         kept.append(g.images)
         gen_arr = np.array(kept, dtype=dt)
-        frontier = list(seen)
-        while frontier:
-            F = np.frombuffer(b"".join(frontier), dtype=dt).reshape(-1, degree)
+        block = max(1, _PRODUCT_CHUNK // len(kept))
+        queue = sorted(seen)
+        while queue:
+            F = np.frombuffer(b"".join(queue[:block]), dtype=dt).reshape(-1, degree)
+            del queue[:block]
             products = gen_arr[:, F].tobytes()
             rows = dict.fromkeys(
                 products[i : i + width] for i in range(0, len(products), width)
             )
-            frontier = [row for row in rows if row not in seen]
-            seen.update(frontier)
+            fresh = [row for row in rows if row not in seen]
+            seen.update(fresh)
+            queue += fresh
             if len(seen) > cap:
                 raise GroupTooLarge(
                     f"closure reached {len(seen)} elements, past the cap of {cap}"

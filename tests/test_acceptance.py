@@ -81,7 +81,7 @@ def test_criterion_1_prime_affine_sweep():
             else:
                 assert value == 0, spec
 
-        result = decompose_prime_affine(spec, tol=1e-6)
+        result = decompose_prime_affine(spec)
         induced = {k: v for k, v in result.multiplicities.items() if k.startswith("ind:")}
         linear = {k: v for k, v in result.multiplicities.items() if k.startswith("lin:")}
         assert result.multiplicities["triv"] == 1, spec

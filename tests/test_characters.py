@@ -1,11 +1,13 @@
 """Character theory of the inner groups of prime affine quandles."""
 
+import cmath
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import quandlekit.cayley
+import quandlekit.characters
 import quandlekit.inner
 from quandlekit import (
     AffineSpec,
@@ -23,10 +25,8 @@ from quandlekit import (
     conjugate_orbit,
     decompose_prime_affine,
     inertia_group_size,
-    induced_matrices,
     inner_group,
     inner_product,
-    irreducible_class_functions,
     metacyclic_irreducibles,
     multiplicative_order,
     permutation_character,
@@ -53,8 +53,10 @@ def _unit_of_order(p, n):
 def test_class_function_requires_one_value_per_class():
     g = inner_group(affine_quandle(AffineSpec(5, 2)))
     classes = conjugacy_classes(g)
-    with pytest.raises(ValueError):
-        ClassFunction(classes=classes, values=(1, 2), exact=True)
+    integral_float = (1,) * (len(classes.classes) - 1) + (1.0,)
+    for values in [(1, 2), integral_float]:
+        with pytest.raises(ValueError):
+            ClassFunction(classes=classes, values=values)
 
 
 def test_permutation_character_pattern():
@@ -63,7 +65,7 @@ def test_permutation_character_pattern():
     classes = conjugacy_classes(group)
     pres = presentation(spec)
     chi = permutation_character(group, classes)
-    assert chi.exact
+    assert all(isinstance(v, int) for v in chi.values)
     for rep, value in zip(classes.representatives, chi.values):
         label = class_label(pres, rep)
         if label == ("identity",):
@@ -143,8 +145,6 @@ def test_family_rejects_bad_parameters():
         metacyclic_irreducibles(12, 2, 5)
     with pytest.raises(BadParameters):
         metacyclic_irreducibles(13, 4, 3)  # 3 has order 3 mod 13
-    with pytest.raises(BadParameters):
-        induced_matrices(13, 4, 5, 0)
 
 
 def _orthogonality_defect(fam):
@@ -172,14 +172,38 @@ def test_orthogonality_all_small_primes():
             assert _orthogonality_defect(fam) < 1e-8, (p, n)
 
 
+def test_layer_sum_matches_character_values():
+    for p in PRIMES_TO_23:
+        for u in units(p):
+            n = multiplicative_order(u, p)
+            if n == 1:
+                continue
+            fam = metacyclic_irreducibles(p, n, u)
+            for irr in fam.irreducible_labels():
+                total = sum(fam.value(irr, ("layer", i)) for i in range(1, n))
+                assert abs(fam.layer_sum(irr) - total) < 1e-9, (p, u, irr)
+
+
 def test_orthogonality_spot_check_47():
     fam = metacyclic_irreducibles(47, 23, _unit_of_order(47, 23))
     assert _orthogonality_defect(fam) < 1e-7
 
 
+def _induced_matrices(p, n, u, k):
+    """Representing matrices (translation_image, scaling_image) of the
+    degree-n induced representation at index k: a diagonal of p-th roots
+    w^(u^a k) and the basis rotation e_a -> e_(a+1)."""
+    exponents = [pow(u, a, p) * k % p for a in range(n)]
+    diag = np.diag([cmath.exp(2j * cmath.pi * e / p) for e in exponents])
+    shift = np.zeros((n, n), dtype=complex)
+    for a in range(n):
+        shift[(a + 1) % n, a] = 1
+    return diag, shift
+
+
 def test_induced_matrices_satisfy_presentation():
     p, n, u, k = 13, 4, 5, 1
-    diag, shift = induced_matrices(p, n, u, k)
+    diag, shift = _induced_matrices(p, n, u, k)
     t = pow(u, -1, p)
     left = shift @ diag @ np.linalg.inv(shift)
     right = np.linalg.matrix_power(diag, t)
@@ -192,7 +216,7 @@ def test_induced_traces_match_character_values():
     p, n, u = 13, 4, 5
     fam = metacyclic_irreducibles(p, n, u)
     for k in fam.induced_indices:
-        diag, shift = induced_matrices(p, n, u, k)
+        diag, shift = _induced_matrices(p, n, u, k)
         for j in range(1, p):
             tr = np.trace(np.linalg.matrix_power(diag, j))
             assert abs(tr - fam.value(f"ind:{k}", ("shift", j))) < 1e-10
@@ -219,15 +243,6 @@ def test_class_label_is_constant_on_classes():
     for cls in classes.classes:
         labels = {class_label(pres, g) for g in cls}
         assert len(labels) == 1, labels
-
-
-def test_irreducible_class_functions_twist_guard():
-    spec = AffineSpec(13, 8)
-    pres = presentation(spec)
-    classes = conjugacy_classes(inner_group(affine_quandle(spec)))
-    wrong = metacyclic_irreducibles(13, 4, 8)  # twist must be 8^-1 = 5
-    with pytest.raises(GroupMismatch):
-        irreducible_class_functions(wrong, pres, classes)
 
 
 def test_decompose_13_8():
@@ -273,6 +288,57 @@ def test_character_route_reuses_the_callers_quandle_inn_and_classes(monkeypatch)
     assert calls == {"validate_quandle": 1, "close_group": 1}
     assert affine_quandle(spec) is quandle
     assert conjugacy_classes(group).classes is classes.classes
+
+
+def _complex_multiplicities(spec):
+    """Multiplicities by the complex inner product of the permutation
+    character with every irreducible of MetacyclicFamily.value, each
+    rounded to the nearest integer within 1e-6."""
+    pres = presentation(spec)
+    group = inner_group(affine_quandle(spec))
+    classes = conjugacy_classes(group)
+    chi = permutation_character(group, classes)
+    fam = metacyclic_irreducibles(
+        spec.modulus, spec.order_of_multiplier, pres.inverse_multiplier
+    )
+    labels = [class_label(pres, rep) for rep in classes.representatives]
+    out = {}
+    for irr in fam.irreducible_labels():
+        total = sum(
+            size * value * fam.value(irr, label).conjugate()
+            for size, value, label in zip(classes.sizes, chi.values, labels)
+        )
+        val = total / len(group)
+        m = round(val.real)
+        assert abs(val - m) < 1e-6, (spec, irr, val)
+        out[irr] = m
+    return out
+
+
+def test_decompose_matches_complex_inner_products():
+    for spec in connected_affine_specs(23, prime_only=True):
+        assert decompose_prime_affine(spec).multiplicities == _complex_multiplicities(spec), spec
+
+
+@pytest.mark.parametrize("kind", ["identity", "shift", "layer"])
+def test_decompose_rejects_a_permutation_character_off_the_pattern(monkeypatch, kind):
+    spec = AffineSpec(13, 8)
+    pres = presentation(spec)
+    original = quandlekit.characters.permutation_character
+
+    def corrupted(group, classes=None):
+        chi = original(group, classes)
+        values = list(chi.values)
+        k = next(
+            i for i, rep in enumerate(chi.classes.representatives)
+            if class_label(pres, rep)[0] == kind
+        )
+        values[k] += 1
+        return ClassFunction(classes=chi.classes, values=tuple(values))
+
+    monkeypatch.setattr(quandlekit.characters, "permutation_character", corrupted)
+    with pytest.raises(ArithmeticError):
+        decompose_prime_affine(spec)
 
 
 def test_decompose_rejects_bad_specs():

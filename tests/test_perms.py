@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.cayley import AffineSpec, affine_quandle, right_translation
+from quandlekit.cayley import AffineSpec, affine_quandle, right_translation, validate_quandle
 from quandlekit.inner import inner_generators, inner_group
 from quandlekit.perms import (
     GroupTooLarge,
@@ -23,7 +24,7 @@ from quandlekit.perms import (
     orbits,
     stabilizer,
 )
-from quandlekit.perms import _element_keys, _orbit_labels
+from quandlekit.perms import _PRODUCT_CHUNK, _element_keys, _orbit_labels
 
 
 def _indexing_cases():
@@ -142,6 +143,24 @@ def test_close_group_cap():
         with pytest.raises(GroupTooLarge, match=message) as exc:
             close_group(gens, cap=1000)
         assert 1000 < int(re.match(message, str(exc.value)).group(1)) <= 362880
+
+
+def test_close_group_cap_is_checked_per_block():
+    """The transpositions of S_9 under conjugation form a quandle of order
+    36 whose inner group is S_9; the closure stops within one block of
+    products past the cap, not at the end of a breadth-first layer."""
+    points = list(itertools.combinations(range(9), 2))
+    index = {pair: k for k, pair in enumerate(points)}
+
+    def conjugate(x, y):
+        swap = {y[0]: y[1], y[1]: y[0]}
+        return index[tuple(sorted(swap.get(v, v) for v in x))]
+
+    quandle = validate_quandle([[conjugate(x, y) for y in points] for x in points])
+    message = r"^closure reached (\d+) elements, past the cap of 20000$"
+    with pytest.raises(GroupTooLarge, match=message) as exc:
+        close_group(inner_generators(quandle), cap=20_000)
+    assert int(re.match(message, str(exc.value)).group(1)) <= 20_000 + _PRODUCT_CHUNK
 
 
 def _reference_closure(gens):

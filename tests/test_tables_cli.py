@@ -198,6 +198,14 @@ def test_cli_decompose_needs_affine(capsys):
     assert main(["decompose"]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "decompose"])
+def test_cli_has_no_tolerance_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--affine", "13", "8", "--tol", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_cli_decompose_rejects_composite(capsys):
     assert main(["decompose", "--affine", "21", "11"]) == 1
     assert "not prime" in capsys.readouterr().err
@@ -330,3 +338,28 @@ def test_scripts_run(argv, line):
     )
     assert proc.returncode == 0, proc.stderr
     assert line in proc.stdout
+
+
+def _readme_command_lines():
+    """The `quandlekit ...` lines of the README's "Command line" section
+    that need no input file."""
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line.strip() for line in section.splitlines()]
+    return [
+        line for line in lines
+        if line.startswith("quandlekit ")
+        and any(word in line.split() for word in ("--affine", "--bundled", "scan"))
+    ]
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    import shlex
+
+    lines = _readme_command_lines()
+    assert len(lines) >= 5, lines
+    monkeypatch.chdir(tmp_path)
+    for line in lines:
+        assert main(shlex.split(line)[1:]) == 0, line
