@@ -53,8 +53,7 @@ def main():
               f"matrix {b} support {int(mats[b].sum())} pairs")
 
     part = double_cosets(group, stab)
-    sizes = [len(c) for c in part.cosets]
-    print(f"double cosets: {len(part)} with sizes {sizes}")
+    print(f"double cosets: {len(part)} with sizes {part.counts.tolist()}")
     print(f"gelfand pair: {is_gelfand_pair(group, stab, part)}")
 
     # rank 7 = 1 + 1 + 1 + 4: three multiplicity-one constituents and one

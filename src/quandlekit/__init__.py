@@ -46,7 +46,6 @@ from .characters import (
     DecompositionResult,
     GroupMismatch,
     MetacyclicFamily,
-    NotTransitive,
     burnside_rank,
     class_label,
     conjugate_orbit,

@@ -8,7 +8,8 @@ quandles among user-supplied tables of modest order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import asdict, dataclass
 
 from .cayley import AffineSpec, CayleyQuandle, affine_quandle, right_translation
 from .characters import BadParameters, burnside_rank, decompose_prime_affine
@@ -153,30 +154,9 @@ class AnalysisReport:
     tool_version: str
 
     def to_dict(self) -> dict:
-        return {
-            "schema": 1,
-            "tool_version": self.tool_version,
-            "source": self.source,
-            "order": self.order,
-            "connected": self.connected,
-            "latin": self.latin,
-            "inner_order": self.inner_order,
-            "stabilizer_order": self.stabilizer_order,
-            "rank": self.rank,
-            "translation_cycle_type": list(self.translation_cycle_type),
-            "translation_cycles_uniform": self.translation_cycles_uniform,
-            "tensor_class_count": self.tensor_class_count,
-            "tensor_representatives": [list(p) for p in self.tensor_representatives],
-            "tensor_sizes": list(self.tensor_sizes),
-            "tau_class_count": self.tau_class_count,
-            "multiplicity_free": self.multiplicity_free,
-            "commutation_witness": self.commutation_witness,
-            "gelfand_pair": self.gelfand_pair,
-            "affine_status": self.affine_status,
-            "affine_modulus": self.affine_modulus,
-            "affine_multiplier": self.affine_multiplier,
-            "decomposition": self.decomposition,
-        }
+        """The report as JSON-ready values (tuples become lists), with the
+        schema version under "schema"."""
+        return {"schema": 1, **json.loads(json.dumps(asdict(self)))}
 
 
 def analyze(

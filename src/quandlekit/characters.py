@@ -22,7 +22,8 @@ import numpy as np
 from .cayley import AffineSpec, affine_quandle
 from .inner import InnerPresentation, inner_group, normal_form, presentation
 from .modular import is_prime, multiplicative_order
-from .perms import ConjugacyClassSet, Permutation, PermutationGroup, conjugacy_classes
+from .perms import (ConjugacyClassSet, Permutation, PermutationGroup, conjugacy_classes,
+                    images_matrix)
 
 
 class BadParameters(Exception):
@@ -30,10 +31,6 @@ class BadParameters(Exception):
 
 
 class GroupMismatch(Exception):
-    pass
-
-
-class NotTransitive(Exception):
     pass
 
 
@@ -45,7 +42,7 @@ class ClassFunction:
     values: tuple
 
     def __post_init__(self):
-        if len(self.values) != len(self.classes.classes):
+        if len(self.values) != len(self.classes):
             raise ValueError("one value per class required")
         if not all(isinstance(v, int) for v in self.values):
             raise ValueError("class function values must be ints")
@@ -56,17 +53,16 @@ def permutation_character(group: PermutationGroup,
     """Fixed-point count of a class representative, per class."""
     if classes is None:
         classes = conjugacy_classes(group)
-    if classes.group is not group and classes.group != group:
+    images = images_matrix(group)
+    if classes.images is not images and not np.array_equal(classes.images, images):
         raise GroupMismatch("classes belong to a different group")
-    values = tuple(
-        sum(1 for x, y in enumerate(rep.images) if x == y)
-        for rep in classes.representatives
-    )
-    return ClassFunction(classes=classes, values=values)
+    reps = images[classes.starts]
+    values = (reps == np.arange(group.degree, dtype=reps.dtype)).sum(axis=1)
+    return ClassFunction(classes=classes, values=tuple(values.tolist()))
 
 
 def trivial_character(classes: ConjugacyClassSet) -> ClassFunction:
-    return ClassFunction(classes=classes, values=(1,) * len(classes.classes))
+    return ClassFunction(classes=classes, values=(1,) * len(classes))
 
 
 def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
@@ -79,20 +75,15 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
     return Fraction(total, sum(sizes))
 
 
-def burnside_rank(group: PermutationGroup, *, strict: bool = False) -> int:
+def burnside_rank(group: PermutationGroup) -> int:
     """Number of orbits on ordered pairs: (1/|G|) sum_g fix(g)^2, computed
-    exactly over all elements.  With strict=True a non-transitive action
-    raises NotTransitive (the value itself is meaningful either way)."""
-    from .perms import images_matrix, orbits
-
+    exactly over all elements."""
     E = images_matrix(group)
     fixed = (E == np.arange(group.degree, dtype=E.dtype)).sum(axis=1).astype(np.int64)
     total = int((fixed * fixed).sum())
     q, r = divmod(total, len(group))
     if r != 0:
         raise ArithmeticError("fixed-point sum not divisible by the group order")
-    if strict and len(orbits(group)) != 1:
-        raise NotTransitive("action is not transitive")
     return q
 
 

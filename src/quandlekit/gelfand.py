@@ -22,13 +22,14 @@ structure constants of the double-coset algebra, which fix each product
 of double-coset sums, at one representative per double coset: r |G|
 products for r double cosets (Ceccherini-Silberstein, Scarabotti and
 Tolli, Harmonic Analysis on Finite Groups, CUP 2008, on finite Gelfand
-pairs).
+pairs).  Double cosets are held as labels over element indices, like the
+tensor classes, and is_gelfand_pair reads only those arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from functools import cached_property
 
 import numpy as np
 
@@ -39,6 +40,7 @@ from .perms import (
     Permutation,
     PermutationGroup,
     _PRODUCT_CHUNK,
+    _blocks,
     _element_keys,
     images_matrix,
 )
@@ -164,25 +166,30 @@ def symmetric_orbital_shortcut(quandle: CayleyQuandle) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class DoubleCosetPartition:
-    """Partition of a group into double cosets K g K of a subgroup K.
-
-    Cosets hold element indices into group.elements, each sorted, cosets
-    ordered by least index; the coset of the identity (K itself) is first.
-    """
+    """Partition of a group into double cosets K g K of a subgroup K: coset
+    ``labels[g]`` of element index g, least index ``starts[i]`` and size
+    ``counts[i]`` of coset i.  Cosets are ordered by least index, so K comes
+    first; ``cosets`` lists the element indices of each, ascending."""
 
     group: PermutationGroup
     subgroup: PermutationGroup
-    cosets: tuple[tuple[int, ...], ...]
+    labels: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.cosets)
+        return len(self.counts)
+
+    @cached_property
+    def cosets(self) -> tuple[tuple[int, ...], ...]:
+        return _blocks(self.labels, range(len(self.labels)))
 
     def members(self, index: int) -> tuple[Permutation, ...]:
         return tuple(self.group.elements[i] for i in self.cosets[index])
 
     @property
     def representatives(self) -> tuple[Permutation, ...]:
-        return tuple(self.group.elements[c[0]] for c in self.cosets)
+        return tuple(map(Permutation._trusted, images_matrix(self.group)[self.starts].tolist()))
 
 
 def double_cosets(group: PermutationGroup,
@@ -192,9 +199,8 @@ def double_cosets(group: PermutationGroup,
     left_min[g], the least index of h g over h in K, is the least index in
     the right coset K g; the least of left_min[g k] over k in K is then the
     least index in K g K.  Only the 2 |K| |G| products this needs are formed,
-    from base images, in blocks of about _PRODUCT_CHUNK.  Grouping the
-    elements by that label with a stable sort orders the cosets by least
-    member, with members ascending.
+    from base images, in blocks of about _PRODUCT_CHUNK.  Ranking those
+    labels orders the cosets by least member.
     """
     if not group.contains_group(subgroup):
         raise NotASubgroup("second argument must be a subgroup of the first")
@@ -215,11 +221,8 @@ def double_cosets(group: PermutationGroup,
         block = slice(start, start + step)
         # [g, k]: base images of g * k
         label[block] = left_min[keys.lookup(images[block][:, sub_base])].min(axis=1)
-    order = np.argsort(label, kind="stable")
-    bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), count]
-    members = order.tolist()
-    cosets = tuple(tuple(members[a:b]) for a, b in zip(bounds, bounds[1:]))
-    return DoubleCosetPartition(group=group, subgroup=subgroup, cosets=cosets)
+    starts, labels, counts = np.unique(label, return_inverse=True, return_counts=True)
+    return DoubleCosetPartition(group, subgroup, labels, starts, counts)
 
 
 def is_gelfand_pair(group: PermutationGroup,
@@ -245,13 +248,9 @@ def is_gelfand_pair(group: PermutationGroup,
     images = images_matrix(group)
     keys = _element_keys(group)
     count = len(images)
-    cosets = partition.cosets
-    rank = len(cosets)
-    label = np.empty(count, dtype=np.int64)
-    label[np.fromiter(chain.from_iterable(cosets), dtype=np.intp, count=count)] = (
-        np.repeat(np.arange(rank), [len(c) for c in cosets])
-    )
-    reps = images[[c[0] for c in cosets]]
+    rank = len(partition)
+    label = partition.labels
+    reps = images[partition.starts]
     # inversion permutes the double cosets, (K g K)^-1 = K g^-1 K, so the
     # inverses of the representatives label every inverse; the rows of
     # argsort(reps) are those inverses' images

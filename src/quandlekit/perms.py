@@ -6,6 +6,11 @@ image rows, which keeps every derived object (orbits, conjugacy classes,
 cosets) reproducible across runs; Permutation objects for its elements
 are built from that array on first read.
 
+Conjugacy classes here and double cosets in gelfand are held as the
+tensor square is: the block label of every element index, and the least
+index (the representative) and size of every block; _blocks builds the
+member tuples only when they are read.
+
 close_group prunes redundant generators as in Dimino's algorithm (Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): a
 generator already in the closure built so far adds nothing and is
@@ -27,6 +32,7 @@ replaced by their ranks among the elements' partial keys, which is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -189,7 +195,7 @@ class PermutationGroup:
         self._elements = self._keys = self._cayley = self._classes = None
 
     @classmethod
-    def from_elements(cls, elements, generators=None) -> "PermutationGroup":
+    def from_elements(cls, elements) -> "PermutationGroup":
         """The group of the given permutations, which keeps these objects
         (in lex order) as its elements."""
         elements = tuple(elements)
@@ -201,7 +207,7 @@ class PermutationGroup:
             raise ValueError(f"elements of mixed degrees {degrees}")
         rows = np.array([p.images for p in elements], dtype=_dtype_for(degree))
         rank = np.lexsort(rows.T[::-1])
-        group = cls(degree, elements if generators is None else generators, rows[rank])
+        group = cls(degree, elements, rows[rank])
         group._elements = tuple(elements[i] for i in rank.tolist())
         return group
 
@@ -424,58 +430,66 @@ def orbits(group, domain=None) -> list[tuple[int, ...]]:
     return out
 
 
+def _blocks(labels: np.ndarray, items) -> tuple[tuple, ...]:
+    """The items grouped by the label of their index, blocks in label
+    order and each block in index order."""
+    order = np.argsort(labels, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(labels)).tolist()
+    ordered = [items[k] for k in order]
+    return tuple(tuple(ordered[a:b]) for a, b in zip([0, *bounds], bounds))
+
+
 @dataclass(frozen=True, eq=False)
 class ConjugacyClassSet:
-    """Conjugacy classes of a group, each class sorted by image tuple and
-    classes ordered by their least member, so the identity class is first."""
+    """Conjugacy classes of the group with image array ``images``: class
+    ``labels[k]`` of element k, least element index ``starts[i]`` and size
+    ``counts[i]`` of class i.  Classes are ordered by least member, so the
+    identity class is first; each class read from ``classes`` is sorted."""
 
-    group: PermutationGroup
-    classes: tuple[tuple[Permutation, ...], ...]
+    images: np.ndarray
+    labels: np.ndarray
+    starts: np.ndarray
+    counts: np.ndarray
 
-    @property
+    @cached_property
     def representatives(self) -> tuple[Permutation, ...]:
-        return tuple(c[0] for c in self.classes)
+        return tuple(map(Permutation._trusted, self.images[self.starts].tolist()))
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(c) for c in self.classes)
+        return tuple(self.counts.tolist())
 
     def __len__(self) -> int:
-        return len(self.classes)
+        return len(self.counts)
+
+    @cached_property
+    def classes(self) -> tuple[tuple[Permutation, ...], ...]:
+        return _blocks(self.labels, list(map(Permutation._trusted, self.images.tolist())))
 
     def same_classes(self, other: "ConjugacyClassSet") -> bool:
-        return self is other or self.classes == other.classes
+        return self is other or np.array_equal(self.images, other.images)
 
 
 def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
-    """Conjugacy classes by direct conjugation of each unprocessed element
-    with the whole group (vectorized over the element array).
-
-    The class tuple is memoised on the group and each call wraps it in a
-    fresh ConjugacyClassSet: the set refers to the group, so storing it on
-    the group would make a cycle that keeps the group alive until the
-    cyclic gc runs."""
-    if group._classes is None:
-        group._classes = _split_classes(group)
-    return ConjugacyClassSet(group=group, classes=group._classes)
-
-
-def _split_classes(group: PermutationGroup) -> tuple[tuple[Permutation, ...], ...]:
+    """Conjugacy classes by direct conjugation of each unlabelled element
+    with the whole group (vectorized over the element array), labelling
+    its conjugates with its index, the least in their class; memoised on
+    the group.  The set holds the image array, not the group: no cycle."""
+    if group._classes is not None:
+        return group._classes
     E = images_matrix(group)
     element_keys = _element_keys(group)
-    elements = group.elements
     inv_base = np.argsort(E, axis=1)[:, : element_keys.base_length].astype(E.dtype)
-    visited = np.zeros(len(E), dtype=bool)
-    classes = []
-    for idx, x in enumerate(E):
-        if visited[idx]:
+    least = np.full(len(E), -1, dtype=np.intp)
+    for idx in range(len(E)):
+        if least[idx] >= 0:
             continue
         # row m holds the base images of  g_m o x o g_m^{-1}
-        conjugated = np.take_along_axis(E, x[inv_base], axis=1)
-        member_idx = np.unique(element_keys.lookup(conjugated))
-        visited[member_idx] = True
-        classes.append(tuple(elements[k] for k in member_idx.tolist()))
-    return tuple(classes)
+        conjugated = np.take_along_axis(E, E[idx][inv_base], axis=1)
+        least[element_keys.lookup(conjugated)] = idx
+    starts, labels, counts = np.unique(least, return_inverse=True, return_counts=True)
+    group._classes = ConjugacyClassSet(images=E, labels=labels, starts=starts, counts=counts)
+    return group._classes
 
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:

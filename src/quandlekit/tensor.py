@@ -22,17 +22,15 @@ import numpy as np
 
 from .cayley import AffineSpec, CayleyQuandle
 from .modular import is_prime
-from .perms import _orbit_labels
+from .perms import _blocks, _orbit_labels
 
 Pair = tuple[int, int]
 
 
 def _pair_classes(order: int, labels: np.ndarray):
     """Pairs grouped by class label, each class sorted, in label order."""
-    xs, ys = np.divmod(np.argsort(labels, kind="stable"), order)
-    pairs = list(zip(xs.tolist(), ys.tolist()))
-    bounds = np.cumsum(np.bincount(labels)).tolist()
-    return tuple(tuple(pairs[a:b]) for a, b in zip([0, *bounds], bounds))
+    xs, ys = np.divmod(np.arange(order * order), order)
+    return _blocks(labels, list(zip(xs.tolist(), ys.tolist())))
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,6 @@ from quandlekit import (
     BadParameters,
     ClassFunction,
     GroupMismatch,
-    NotTransitive,
     Permutation,
     PermutationGroup,
     affine_quandle,
@@ -99,6 +98,17 @@ def test_inner_product_rejects_mismatched_groups():
         inner_product(a, b)
 
 
+def test_classes_of_another_group_with_the_same_labels_are_foreign():
+    # both groups have order 2 on 4 points, so their class labels agree
+    first = close_group([Permutation.from_cycles(4, [(0, 1)])])
+    second = close_group([Permutation.from_cycles(4, [(2, 3)])])
+    classes = conjugacy_classes(first)
+    assert np.array_equal(classes.labels, conjugacy_classes(second).labels)
+    assert not classes.same_classes(conjugacy_classes(second))
+    with pytest.raises(GroupMismatch):
+        permutation_character(second, classes)
+
+
 def test_burnside_rank_examples():
     assert burnside_rank(inner_group(affine_quandle(AffineSpec(13, 8)))) == 4
     assert burnside_rank(inner_group(affine_quandle(AffineSpec(13, 9)))) == 5
@@ -111,8 +121,6 @@ def test_burnside_rank_examples():
 def test_burnside_rank_non_transitive_diagnostic():
     frozen = PermutationGroup.from_elements([Permutation.identity(2)])
     assert burnside_rank(frozen) == 4
-    with pytest.raises(NotTransitive):
-        burnside_rank(frozen, strict=True)
 
 
 def test_conjugate_orbit_examples():
@@ -288,6 +296,24 @@ def test_character_route_reuses_the_callers_quandle_inn_and_classes(monkeypatch)
     assert calls == {"validate_quandle": 1, "close_group": 1}
     assert affine_quandle(spec) is quandle
     assert conjugacy_classes(group).classes is classes.classes
+
+
+def test_character_route_builds_fewer_permutations_than_the_group(monkeypatch):
+    spec = AffineSpec(47, 2)
+    group = inner_group(affine_quandle(spec))
+    assert len(group) == 1081
+    built = 0
+    trusted = Permutation._trusted.__func__
+
+    def counted(cls, images):
+        nonlocal built
+        built += 1
+        return trusted(cls, images)
+
+    monkeypatch.setattr(Permutation, "_trusted", classmethod(counted))
+    permutation_character(group, conjugacy_classes(group))
+    decompose_prime_affine(spec)
+    assert built < len(group)
 
 
 def _complex_multiplicities(spec):

@@ -343,6 +343,10 @@ def test_double_cosets_and_gelfand_match_reference(order12):
         part = double_cosets(group, sub)
         expected = _reference_double_cosets(group, sub)
         assert part.cosets == expected, (group, sub)
+        assert part.starts.tolist() == [c[0] for c in expected]
+        assert part.counts.tolist() == [len(c) for c in expected]
+        for i, coset in enumerate(expected):
+            assert set(part.labels[list(coset)].tolist()) == {i}
         verdict = is_gelfand_pair(group, sub, part)
         assert verdict == _reference_is_gelfand(group, expected), (group, sub)
         assert type(verdict) is bool
