@@ -222,7 +222,7 @@ def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
     drift = coords - f_coords
     # [x, y]: coordinates of f(x) + y - f(y), then its mixed-radix index
     table = (f_coords[:, None, :] + drift[None, :, :]) % moduli @ _radix_weights(moduli)
-    return validate_quandle(table.tolist())
+    return validate_quandle(table)
 
 
 def affine_extension(

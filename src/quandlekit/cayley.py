@@ -1,8 +1,12 @@
 """Finite quandles as explicit Cayley tables.
 
 Tables are oriented so that table[x][y] = x > y (right action), hence the
-right translation by y is the column map x -> table[x][y].  All constructors
-run the full axiom check before returning.
+right translation by y is the column map x -> table[x][y].  Constructors
+go through validate_quandle, which checks axiom 3 only at z < k, where
+0..k-1 generate the quandle under >.  That suffices: if R_a and R_b are
+bijective endomorphisms, so is R_{a>b} = R_b R_a R_b^-1, so the z whose R_z
+is one form a subquandle, and holding 0..k-1 it holds every point.  The
+same identity puts every R_y in <R_0..R_{k-1}>, which is therefore Inn.
 """
 
 from __future__ import annotations
@@ -59,14 +63,17 @@ class NotCentralized(QuandleError):
 class CayleyQuandle:
     """An n x n Cayley table over {0..n-1}; build via validate_quandle.
 
-    inner_generators, inner_group and tensor_square memoise their results
-    in the attributes below, which are not fields, so equality and hashing
-    see the table only.  No memoised object may refer back to the quandle:
-    that cycle would keep the inner group alive until the cyclic gc runs.
+    The attributes below memoise and are not fields, so equality, hashing and
+    repr see the table only.  ``_array`` is the table as a read-only intp
+    array and ``_prefix`` the k for which 0..k-1 generate the quandle, both
+    set by validate_quandle; built directly, k = n (None).  The rest hold what
+    inner_generators, inner_group and tensor_square return.  No memoised object
+    may refer back to the quandle: that cycle would keep Inn alive until gc.
     """
 
     table: tuple[tuple[int, ...], ...]
 
+    _prefix = None
     _inner_generators = None
     _inner_group = None
     _tensor_square = None
@@ -75,11 +82,19 @@ class CayleyQuandle:
         object.__setattr__(self, "table", tuple(tuple(int(v) for v in row) for row in self.table))
 
     @classmethod
-    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "CayleyQuandle":
-        """Wrap rows that are already tuples of ints, without copying."""
+    def _trusted(cls, array: np.ndarray, prefix: int) -> "CayleyQuandle":
+        """Wrap a validated read-only intp array and its generating prefix."""
         q = cls.__new__(cls)
-        object.__setattr__(q, "table", rows)
+        object.__setattr__(q, "table", tuple(map(tuple, array.tolist())))
+        object.__setattr__(q, "_array", array)
+        object.__setattr__(q, "_prefix", prefix)
         return q
+
+    @cached_property
+    def _array(self) -> np.ndarray:
+        array = np.array(self.table, dtype=np.intp).reshape(self.order, self.order)
+        array.flags.writeable = False
+        return array
 
     @property
     def order(self) -> int:
@@ -96,26 +111,62 @@ class CayleyQuandle:
 _AXIOM3_CHUNK = 1 << 14
 
 
+def _generating_prefix(T: np.ndarray) -> int:
+    """The least k in 1, 2, 4, ... (capped at n) such that 0..k-1 generate
+    the quandle under >; one closure grows as k doubles."""
+    inside = np.zeros(len(T), dtype=bool)
+    k = 0
+    while not inside.all():
+        k = min(len(T), 2 * k or 1)
+        inside[:k] = True
+        size = 0
+        while size < np.count_nonzero(inside):
+            members = np.flatnonzero(inside)
+            size = members.size
+            inside[T[members][:, members]] = True
+    return k
+
+
+def _axiom3_witness(T: np.ndarray, k: int):
+    """The first (x, y, z) with z < k, in lexicographic order, at which
+    (x > y) > z != (x > z) > (y > z); None when there is none."""
+    n = len(T)
+    Tk = T[:, :k]
+    block = max(1, _AXIOM3_CHUNK // (n * k))
+    for start in range(0, n, block):
+        Tx = Tk[start : start + block]
+        # [x, y, z]: (x > y) > z against (x > z) > (y > z)
+        mismatch = Tk[T[start : start + block]] != T[Tx[:, None, :], Tk[None, :, :]]
+        first = int(mismatch.argmax())
+        if mismatch.flat[first]:
+            x, y, z = np.unravel_index(first, mismatch.shape)
+            return (start + int(x), int(y), int(z))
+    return None
+
+
 def validate_quandle(table) -> CayleyQuandle:
     """Check shape, entry range and the three axioms; raise AxiomViolation
     with the first witness found, in axiom order.
 
-    Shape and range errors name the first offending row or entry in
-    row-major order.  The axioms are checked on a numpy array; axiom 3
-    compares (x > y) > z with (x > z) > (y > z) over blocks of x, so the
-    first failing flat index is the first (x, y, z) in lexicographic
-    order."""
-    rows = tuple(tuple(map(int, row)) for row in table)
-    n = len(rows)
-    if n == 0:
-        raise ValueError("empty table")
-    for x, row in enumerate(rows):
-        if len(row) != n:
-            raise ValueError(f"row {x} has length {len(row)}, expected {n}")
-        if min(row) < 0 or max(row) >= n:
-            y = next(y for y, v in enumerate(row) if not 0 <= v < n)
-            raise ValueError(f"entry at ({x}, {y}) is {row[y]}, outside 0..{n - 1}")
-    T = np.array(rows, dtype=np.min_scalar_type(n - 1))
+    ``table`` is a sequence of rows or an integer ndarray.  Shape and range
+    errors name the first offending row or entry in row-major order.  Axiom
+    3 is checked at z < k (module docstring), over blocks of x; only if that
+    fails are all n columns scanned, for the first witness (x, y, z)."""
+    n = len(table) if isinstance(table, np.ndarray) and table.dtype.kind in "iu" else 0
+    if n and table.shape == (n, n) and ((0 <= table) & (table < n)).all():
+        T = table.astype(np.intp)
+    else:
+        rows = tuple(tuple(map(int, row)) for row in table)
+        n = len(rows)
+        if n == 0:
+            raise ValueError("empty table")
+        for x, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"row {x} has length {len(row)}, expected {n}")
+            if min(row) < 0 or max(row) >= n:
+                y = next(y for y, v in enumerate(row) if not 0 <= v < n)
+                raise ValueError(f"entry at ({x}, {y}) is {row[y]}, outside 0..{n - 1}")
+        T = np.array(rows, dtype=np.intp)
     points = np.arange(n)
     bad = np.flatnonzero(T[points, points] != points)
     if bad.size:
@@ -123,16 +174,11 @@ def validate_quandle(table) -> CayleyQuandle:
     bad = np.flatnonzero((np.sort(T, axis=0) != points[:, None]).any(axis=0))
     if bad.size:
         raise AxiomViolation(2, (int(bad[0]),))
-    block = max(1, _AXIOM3_CHUNK // (n * n))
-    for start in range(0, n, block):
-        Tx = T[start : start + block]
-        # [x, y, z]: (x > y) > z against (x > z) > (y > z)
-        mismatch = T[Tx] != T[Tx[:, None, :], T[None, :, :]]
-        first = int(mismatch.argmax())
-        if mismatch.flat[first]:
-            x, y, z = np.unravel_index(first, mismatch.shape)
-            raise AxiomViolation(3, (start + int(x), int(y), int(z)))
-    return CayleyQuandle._trusted(rows)
+    k = _generating_prefix(T)
+    if _axiom3_witness(T, k) is not None:
+        raise AxiomViolation(3, _axiom3_witness(T, n))
+    T.flags.writeable = False
+    return CayleyQuandle._trusted(T, k)
 
 
 @dataclass(frozen=True)
@@ -182,8 +228,8 @@ def affine_quandle(spec: AffineSpec) -> CayleyQuandle:
     every call with one spec object returns the same quandle."""
     if spec._quandle is None:
         m, t = spec.modulus, spec.multiplier
-        c = (1 - t) % m
-        q = validate_quandle([[(t * x + c * y) % m for y in range(m)] for x in range(m)])
+        x = np.arange(m)
+        q = validate_quandle((t * x[:, None] + (1 - t) % m * x) % m)
         object.__setattr__(spec, "_quandle", q)
     return spec._quandle
 
@@ -271,12 +317,7 @@ def coset_quandle(group, subgroup_generators, automorphism) -> CayleyQuandle:
         for member in coset:
             coset_index[member.images] = idx
 
-    k = len(reps)
-    table = [[0] * k for _ in range(k)]
-    for a in range(k):
-        xa = reps[a]
-        for b in range(k):
-            xb = reps[b]
-            z = automorphism[xa * xb.inverse()] * xb
-            table[a][b] = coset_index[z.images]
-    return validate_quandle(table)
+    return validate_quandle([
+        [coset_index[(automorphism[xa * xb.inverse()] * xb).images] for xb in reps]
+        for xa in reps
+    ])

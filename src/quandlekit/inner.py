@@ -36,16 +36,15 @@ class RelationFailure(Exception):
     pass
 
 
-def _translation_rows(q: CayleyQuandle) -> np.ndarray:
-    """The transposed table as an (n, n) intp array: row y is the column
-    map x -> x > y.  Every row is checked to be a bijection at once,
-    because a directly constructed CayleyQuandle has not been validated; a
-    row that is not raises ValueError, as right_translation does."""
-    n = q.order
-    columns = np.array(q.table, dtype=np.intp).reshape(n, n).T
-    if (np.sort(columns, axis=1) != np.arange(n)).any():
+def _translation_rows(q: CayleyQuandle, count: int | None = None) -> np.ndarray:
+    """The first ``count`` column maps (all by default) as intp rows: row y
+    is x -> x > y.  Each is checked to be a bijection, because a directly
+    constructed CayleyQuandle has not been validated; a row that is not
+    raises ValueError, as right_translation does."""
+    rows = q._array.T[:count]
+    if (np.sort(rows, axis=1) != np.arange(q.order)).any():
         raise ValueError("images must list each of 0..n-1 exactly once")
-    return columns
+    return rows
 
 
 def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
@@ -65,8 +64,8 @@ def inner_group(q: CayleyQuandle) -> PermutationGroup:
 
 def is_connected(q: CayleyQuandle) -> bool:
     """True when the inner group acts transitively: every point's orbit
-    under the right translations has least point 0."""
-    return not _orbit_labels(_translation_rows(q)).any()
+    under R_0..R_{k-1}, which generate Inn (k the prefix), has least point 0."""
+    return not _orbit_labels(_translation_rows(q, q._prefix)).any()
 
 
 @dataclass(frozen=True)

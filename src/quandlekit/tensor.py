@@ -113,8 +113,8 @@ class TauQuotient:
 
 
 def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
-    """Orbits of X x X under all right translations acting diagonally;
-    memoised on the quandle.
+    """Orbits of X x X under R_0..R_{k-1}, the translations by the generating
+    prefix, which generate Inn, acting diagonally; memoised on the quandle.
 
     Min-label propagation over pair indices x*n + y (perms._orbit_labels)
     labels each pair with the least pair index of its orbit; pair-index
@@ -124,8 +124,8 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     if quandle._tensor_square is not None:
         return quandle._tensor_square
     n = quandle.order
-    columns = np.array(quandle.table, dtype=np.int32).T
-    maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(n, n * n)
+    columns = quandle._array.T[: quandle._prefix]
+    maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(-1, n * n)
     labels = _orbit_labels(maps)
     starts, labels, counts = np.unique(labels, return_inverse=True, return_counts=True)
     square = TensorSquare(order=n, labels=labels, starts=starts, counts=counts)

@@ -1,8 +1,11 @@
 """Quandle construction, validation, and the coset construction."""
 
+import functools
+import itertools
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +18,10 @@ from quandlekit import (
     NotAutomorphism,
     NotCentralized,
     Permutation,
+    AbelianGroup,
+    abelian_affine_quandle,
     affine_quandle,
+    bundled_order12,
     close_group,
     coset_quandle,
     dihedral_quandle,
@@ -350,4 +356,87 @@ def test_validate_shape_and_range_messages_match_triple_loop(table):
     assert kind == "ValueError"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
         validate_quandle(table)
+    assert not isinstance(exc.value, AxiomViolation)
+
+
+@functools.cache
+def _reduced_check_bases():
+    """Quandles whose generating prefix is longer than 0, 1, or that are
+    not connected: the bundled table (k = 4), the trivial quandle (k = n),
+    a disconnected dihedral quandle and a disconnected quandle over
+    Z_2 x Z_2 (k = 4)."""
+    swap = Permutation((0, 1, 3, 2))
+    return {
+        "bundled": bundled_order12(),
+        "trivial 6": trivial_quandle(6),
+        "dihedral 8": dihedral_quandle(8),
+        "Z2 x Z2": abelian_affine_quandle(AbelianGroup((2, 2)), swap),
+    }
+
+
+def test_generating_prefixes_of_the_reduced_check_bases():
+    prefixes = {name: q._prefix for name, q in _reduced_check_bases().items()}
+    assert prefixes == {"bundled": 4, "trivial 6": 6, "dihedral 8": 2, "Z2 x Z2": 4}
+    assert not any(is_connected(q) for name, q in _reduced_check_bases().items()
+                   if name != "bundled")
+
+
+@st.composite
+def corrupted_reduced_tables(draw):
+    name = draw(st.sampled_from(sorted(_reduced_check_bases())))
+    rows = [list(row) for row in _reduced_check_bases()[name].table]
+    kinds = st.sampled_from(["swap entries", "swap columns", "diagonal", "duplicate"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=2)):
+        rows = _corrupt(draw, rows, kind)
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrupted_reduced_tables(), st.sampled_from([1, 40, 300, cayley._AXIOM3_CHUNK]))
+def test_validate_matches_triple_loop_on_corrupted_reduced_tables(rows, chunk):
+    with mock.patch.object(cayley, "_AXIOM3_CHUNK", chunk):
+        assert _verdict(rows) == _reference_verdict(rows)
+
+
+@pytest.mark.parametrize("base", ["affine 7 3", "bundled"])
+def test_validate_matches_triple_loop_on_every_swap_within_a_column(base, order12):
+    table = affine_quandle(AffineSpec(7, 3)).table if base == "affine 7 3" else order12.table
+    n = len(table)
+    for y in range(n):
+        for a, b in itertools.combinations([x for x in range(n) if x != y], 2):
+            rows = [list(row) for row in table]
+            rows[a][y], rows[b][y] = rows[b][y], rows[a][y]
+            assert _verdict(rows) == _reference_verdict(rows), (y, a, b)
+
+
+def test_validate_accepts_an_integer_array(order12):
+    for quandle in (order12, affine_quandle(AffineSpec(13, 8)), trivial_quandle(3)):
+        rows = [list(row) for row in quandle.table]
+        for dtype in (np.int64, np.uint8):
+            array = np.array(rows, dtype=dtype)
+            q = validate_quandle(array)
+            assert q == validate_quandle(rows) == quandle
+            assert q._prefix == quandle._prefix
+            assert isinstance(q.table, tuple)
+            assert all(isinstance(row, tuple) for row in q.table)
+            assert {type(v) for row in q.table for v in row} == {int}
+            assert array.flags.writeable and not q._array.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "table",
+    [
+        np.zeros((0, 0), dtype=np.int64),
+        [[0, 1, 2], [1, 0, 2]],
+        [[0, 1], [1, 0], [0, 1]],
+        [[0, 2], [1, 1]],
+        [[0, 1], [-1, 1]],
+        [[0, 0, 0], [1, 7, 1], [2, 2, -3]],
+    ],
+)
+def test_validate_array_shape_and_range_messages_match_triple_loop(table):
+    kind, message = _reference_verdict(np.asarray(table).tolist())
+    assert kind == "ValueError"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
+        validate_quandle(np.array(table, dtype=np.int64))
     assert not isinstance(exc.value, AxiomViolation)

@@ -1,5 +1,6 @@
 """Table parsing, formatting, and the command-line interface."""
 
+import hashlib
 import json
 
 import pytest
@@ -265,6 +266,24 @@ def test_cli_scan_json(tmp_path, capsys):
     for row in payload["affine_rows"]:
         spec = AffineSpec(row["modulus"], row["multiplier"])
         assert row["multiplier_order"] == spec.order_of_multiplier
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["scan", "--max-order", "47", "--include-bundled", "--json", "-"],
+         "b263cc4e651ef6b7ac3835957c23905d8aa747666c7a532fa91c4c3484d407c3"),
+        (["analyze", "--json", "-", "--affine", "47", "5"],
+         "bb5d947c135c3b1150db92ae87b09ad2c234b622bcac958909ca738c6be401d8"),
+        (["analyze", "--json", "-", "--bundled"],
+         "5009c527ef7f0750025d80cdfe78fd033eb64c902c450abc26e45c49118a503b"),
+    ],
+)
+def test_cli_json_output_is_pinned(argv, digest, capsys):
+    """SHA-256 of the whole standard output, pinned so that a change to
+    any layer below the CLI cannot alter a report unnoticed."""
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_scan_cap(capsys):

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from quandlekit import (
@@ -12,6 +13,7 @@ from quandlekit import (
     burnside_rank,
     dihedral_quandle,
     inner_group,
+    is_connected,
     orbital_invariant,
     predicted_tau_size,
     predicted_tensor_size,
@@ -20,6 +22,7 @@ from quandlekit import (
     trivial_quandle,
     validate_quandle,
 )
+from quandlekit.perms import _orbit_labels
 from conftest import connected_affine_specs, reference_tensor_classes
 
 
@@ -229,3 +232,22 @@ def test_tensor_square_and_tau_match_plain_search_on_relabelled_tables(order12):
             assert len(tau) == len(tau_classes)
             assert tau.representatives == tuple(c[0] for c in tau_classes)
             assert tau.sizes == tuple(len(c) for c in tau_classes)
+
+
+def test_connected_affine_quandles_are_generated_by_0_and_1():
+    assert all(affine_quandle(spec)._prefix == 2 for spec in connected_affine_specs(47))
+
+
+def test_generating_prefix_gives_the_orbits_of_all_translations(order12):
+    """tensor_square and is_connected act by the k translations of the
+    generating prefix; all n translations must give the same orbits."""
+    quandles = [affine_quandle(spec) for spec in connected_affine_specs(47)]
+    quandles += [order12, trivial_quandle(5), dihedral_quandle(9),
+                 _relabelled(affine_quandle(AffineSpec(11, 2)), random.Random(11))]
+    for q in quandles:
+        n = q.order
+        columns = np.array(q.table).T
+        maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(n, n * n)
+        labels = np.unique(_orbit_labels(maps), return_inverse=True)[1]
+        assert np.array_equal(tensor_square(q).labels, labels), q.table
+        assert is_connected(q) == (not _orbit_labels(columns).any()), q.table
