@@ -1,8 +1,8 @@
 """Finite quandles as explicit Cayley tables.
 
 Tables are oriented so that table[x][y] = x > y (right action), hence the
-right translation by y is the column map x -> table[x][y].  Constructors
-go through validate_quandle, which checks axiom 3 only at z < k, where
+right translation by y is the column map x -> table[x][y].  Building a
+CayleyQuandle validates its table, checking axiom 3 only at z < k, where
 0..k-1 generate the quandle under >.  That suffices: if R_a and R_b are
 bijective endomorphisms, so is R_{a>b} = R_b R_a R_b^-1, so the z whose R_z
 is one form a subquandle, and holding 0..k-1 it holds every point.  The
@@ -18,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from .modular import multiplicative_order
-from .perms import Permutation, close_group
+from .perms import Permutation, _memoised, close_group
 
 _AXIOM_NAMES = {
     1: "idempotence",
@@ -61,40 +61,23 @@ class NotCentralized(QuandleError):
 
 @dataclass(frozen=True)
 class CayleyQuandle:
-    """An n x n Cayley table over {0..n-1}; build via validate_quandle.
+    """An n x n Cayley table over {0..n-1}, checked when built: an input
+    that is not a quandle raises as validate_quandle documents.
 
-    The attributes below memoise and are not fields, so equality, hashing and
-    repr see the table only.  ``_array`` is the table as a read-only intp
-    array and ``_prefix`` the k for which 0..k-1 generate the quandle, both
-    set by validate_quandle; built directly, k = n (None).  The rest hold what
-    inner_generators, inner_group and tensor_square return.  No memoised object
-    may refer back to the quandle: that cycle would keep Inn alive until gc.
+    ``table`` is the only field, so equality, hashing and repr see it
+    alone.  Beside it the quandle holds ``_array``, the table as a read-only
+    intp array, ``_prefix``, the k for which 0..k-1 generate the quandle,
+    and the objects memoised on it (perms._memoised): its inner group and
+    its tensor square.
     """
 
     table: tuple[tuple[int, ...], ...]
 
-    _prefix = None
-    _inner_generators = None
-    _inner_group = None
-    _tensor_square = None
-
     def __post_init__(self):
-        object.__setattr__(self, "table", tuple(tuple(int(v) for v in row) for row in self.table))
-
-    @classmethod
-    def _trusted(cls, array: np.ndarray, prefix: int) -> "CayleyQuandle":
-        """Wrap a validated read-only intp array and its generating prefix."""
-        q = cls.__new__(cls)
-        object.__setattr__(q, "table", tuple(map(tuple, array.tolist())))
-        object.__setattr__(q, "_array", array)
-        object.__setattr__(q, "_prefix", prefix)
-        return q
-
-    @cached_property
-    def _array(self) -> np.ndarray:
-        array = np.array(self.table, dtype=np.intp).reshape(self.order, self.order)
-        array.flags.writeable = False
-        return array
+        array, prefix = _checked(self.table)
+        object.__setattr__(self, "table", tuple(map(tuple, array.tolist())))
+        object.__setattr__(self, "_array", array)
+        object.__setattr__(self, "_prefix", prefix)
 
     @property
     def order(self) -> int:
@@ -144,14 +127,9 @@ def _axiom3_witness(T: np.ndarray, k: int):
     return None
 
 
-def validate_quandle(table) -> CayleyQuandle:
-    """Check shape, entry range and the three axioms; raise AxiomViolation
-    with the first witness found, in axiom order.
-
-    ``table`` is a sequence of rows or an integer ndarray.  Shape and range
-    errors name the first offending row or entry in row-major order.  Axiom
-    3 is checked at z < k (module docstring), over blocks of x; only if that
-    fails are all n columns scanned, for the first witness (x, y, z)."""
+def _checked(table) -> tuple[np.ndarray, int]:
+    """The table as a read-only intp array and its generating prefix k,
+    after the checks validate_quandle documents."""
     n = len(table) if isinstance(table, np.ndarray) and table.dtype.kind in "iu" else 0
     if n and table.shape == (n, n) and ((0 <= table) & (table < n)).all():
         T = table.astype(np.intp)
@@ -178,7 +156,19 @@ def validate_quandle(table) -> CayleyQuandle:
     if _axiom3_witness(T, k) is not None:
         raise AxiomViolation(3, _axiom3_witness(T, n))
     T.flags.writeable = False
-    return CayleyQuandle._trusted(T, k)
+    return T, k
+
+
+def validate_quandle(table) -> CayleyQuandle:
+    """The quandle of ``table``, a sequence of rows or an integer ndarray.
+
+    Checks shape, entry range and the three axioms.  Shape and range errors
+    raise ValueError naming the first offending row or entry in row-major
+    order; a failed axiom raises AxiomViolation with the first witness, in
+    axiom order.  Axiom 3 is checked at z < k (module docstring), over
+    blocks of x; only if that fails are all n columns scanned, for the first
+    witness (x, y, z)."""
+    return CayleyQuandle(table)
 
 
 @dataclass(frozen=True)
@@ -188,17 +178,13 @@ class AffineSpec:
     The multiplier is normalized mod m and must be a unit.  The quandle is
     connected exactly when 1 - t is also a unit.
 
-    affine_quandle memoises the validated quandle in ``_quandle``, which is
-    not a field, so equality, hashing and repr see (m, t) only.  Through
-    that quandle every caller holding this spec object shares one inner
-    group, one class split and one tensor square.  Nothing memoised refers
-    back to the spec, so it is freed with its last reference, not by the
-    cyclic gc."""
+    affine_quandle is memoised on the spec (perms._memoised), outside its
+    fields, so equality, hashing and repr see (m, t) only.  Through that
+    quandle every caller holding this spec object shares one inner group,
+    one class split and one tensor square; an equal spec builds its own."""
 
     modulus: int
     multiplier: int
-
-    _quandle = None
 
     def __post_init__(self):
         if self.modulus < 1:
@@ -223,15 +209,13 @@ class AffineSpec:
         return gcd(1 - self.multiplier, self.modulus) == 1
 
 
+@_memoised
 def affine_quandle(spec: AffineSpec) -> CayleyQuandle:
     """The validated table of the spec's quandle; memoised on the spec, so
     every call with one spec object returns the same quandle."""
-    if spec._quandle is None:
-        m, t = spec.modulus, spec.multiplier
-        x = np.arange(m)
-        q = validate_quandle((t * x[:, None] + (1 - t) % m * x) % m)
-        object.__setattr__(spec, "_quandle", q)
-    return spec._quandle
+    m, t = spec.modulus, spec.multiplier
+    x = np.arange(m)
+    return validate_quandle((t * x[:, None] + (1 - t) % m * x) % m)
 
 
 def trivial_quandle(n: int) -> CayleyQuandle:
@@ -252,7 +236,7 @@ def right_translation(q: CayleyQuandle, y: int) -> Permutation:
     """The column permutation x -> x > y."""
     if not 0 <= y < q.order:
         raise ValueError("element out of range")
-    return Permutation(q.table[x][y] for x in range(q.order))
+    return Permutation._trusted(q._array[:, y].tolist())
 
 
 def left_division(q: CayleyQuandle, x: int, y: int) -> int:

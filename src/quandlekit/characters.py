@@ -22,8 +22,7 @@ import numpy as np
 from .cayley import AffineSpec, affine_quandle
 from .inner import InnerPresentation, inner_group, normal_form, presentation
 from .modular import is_prime, multiplicative_order
-from .perms import (ConjugacyClassSet, Permutation, PermutationGroup, conjugacy_classes,
-                    images_matrix)
+from .perms import ConjugacyClassSet, Permutation, PermutationGroup, conjugacy_classes
 
 
 class BadParameters(Exception):
@@ -53,7 +52,7 @@ def permutation_character(group: PermutationGroup,
     """Fixed-point count of a class representative, per class."""
     if classes is None:
         classes = conjugacy_classes(group)
-    images = images_matrix(group)
+    images = group.images
     if classes.images is not images and not np.array_equal(classes.images, images):
         raise GroupMismatch("classes belong to a different group")
     reps = images[classes.starts]
@@ -78,7 +77,7 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
 def burnside_rank(group: PermutationGroup) -> int:
     """Number of orbits on ordered pairs: (1/|G|) sum_g fix(g)^2, computed
     exactly over all elements."""
-    E = images_matrix(group)
+    E = group.images
     fixed = (E == np.arange(group.degree, dtype=E.dtype)).sum(axis=1).astype(np.int64)
     total = int((fixed * fixed).sum())
     q, r = divmod(total, len(group))

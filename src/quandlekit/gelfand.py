@@ -42,7 +42,6 @@ from .perms import (
     _PRODUCT_CHUNK,
     _blocks,
     _element_keys,
-    images_matrix,
 )
 from .tensor import TensorSquare, tensor_square
 
@@ -189,7 +188,7 @@ class DoubleCosetPartition:
 
     @property
     def representatives(self) -> tuple[Permutation, ...]:
-        return tuple(map(Permutation._trusted, images_matrix(self.group)[self.starts].tolist()))
+        return tuple(map(Permutation._trusted, self.group.images[self.starts].tolist()))
 
 
 def double_cosets(group: PermutationGroup,
@@ -204,10 +203,10 @@ def double_cosets(group: PermutationGroup,
     """
     if not group.contains_group(subgroup):
         raise NotASubgroup("second argument must be a subgroup of the first")
-    images = images_matrix(group)
+    images = group.images
     keys = _element_keys(group)
     base = images[:, : keys.base_length]
-    sub_images = images_matrix(subgroup)
+    sub_images = subgroup.images
     sub_base = sub_images[:, : keys.base_length]
     count = len(images)
     step = max(1, _PRODUCT_CHUNK // len(sub_images))
@@ -245,7 +244,7 @@ def is_gelfand_pair(group: PermutationGroup,
         partition = double_cosets(group, subgroup)
     elif partition.group != group or partition.subgroup != subgroup:
         raise ValueError("partition is of another group or subgroup")
-    images = images_matrix(group)
+    images = group.images
     keys = _element_keys(group)
     count = len(images)
     rank = len(partition)

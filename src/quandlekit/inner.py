@@ -1,7 +1,9 @@
 """Inner automorphism groups of quandles.
 
-The right translations and the group they generate are memoised on the
-quandle, so callers passing the same quandle share one closure.
+Inn is closed from R_0..R_{k-1}, the translations by the quandle's
+generating prefix, which generate it (cayley module docstring); the group
+is memoised on the quandle, so callers passing the same quandle share one
+closure.
 
 For a connected affine quandle (m, t) the inner group is generated by two
 elements: the translation x -> x + (1 - t) and the scaling x -> t x, with
@@ -15,13 +17,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cayley import AffineSpec, CayleyQuandle, affine_quandle, right_translation
 from .modular import geometric_sum
 from .perms import (
     Permutation,
     PermutationGroup,
+    _memoised,
     _orbit_labels,
     close_group,
     element_order,
@@ -36,36 +37,23 @@ class RelationFailure(Exception):
     pass
 
 
-def _translation_rows(q: CayleyQuandle, count: int | None = None) -> np.ndarray:
-    """The first ``count`` column maps (all by default) as intp rows: row y
-    is x -> x > y.  Each is checked to be a bijection, because a directly
-    constructed CayleyQuandle has not been validated; a row that is not
-    raises ValueError, as right_translation does."""
-    rows = q._array.T[:count]
-    if (np.sort(rows, axis=1) != np.arange(q.order)).any():
-        raise ValueError("images must list each of 0..n-1 exactly once")
-    return rows
-
-
 def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
-    """All right translations R_y, one per element; memoised on q."""
-    if q._inner_generators is None:
-        gens = tuple(map(Permutation._trusted, _translation_rows(q).tolist()))
-        object.__setattr__(q, "_inner_generators", gens)
-    return q._inner_generators
+    """All right translations R_y, one per element y."""
+    return tuple(map(Permutation._trusted, q._array.T.tolist()))
 
 
+@_memoised
 def inner_group(q: CayleyQuandle) -> PermutationGroup:
-    """The group generated by the right translations; memoised on q."""
-    if q._inner_group is None:
-        object.__setattr__(q, "_inner_group", close_group(inner_generators(q)))
-    return q._inner_group
+    """The group generated by the right translations, closed from and
+    listing as generators R_0..R_{k-1}, k the generating prefix; memoised
+    on q."""
+    return close_group(map(Permutation._trusted, q._array.T[: q._prefix].tolist()))
 
 
 def is_connected(q: CayleyQuandle) -> bool:
     """True when the inner group acts transitively: every point's orbit
     under R_0..R_{k-1}, which generate Inn (k the prefix), has least point 0."""
-    return not _orbit_labels(_translation_rows(q, q._prefix)).any()
+    return not _orbit_labels(q._array.T[: q._prefix]).any()
 
 
 @dataclass(frozen=True)

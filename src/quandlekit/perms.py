@@ -32,10 +32,27 @@ replaced by their ranks among the elements' partial keys, which is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from math import lcm
 
 import numpy as np
+
+
+def _memoised(build):
+    """Memoise ``build(obj)`` in ``obj.__dict__`` under "_" + build's name
+    (leading underscores dropped), outside any dataclass field, so the
+    owner's equality, hashing and repr still see its fields only.  No
+    memoised value may refer back to its owner: that cycle would keep the
+    owner, and everything memoised on it, alive until the cyclic gc."""
+    name = "_" + build.__name__.lstrip("_")
+
+    @wraps(build)
+    def memoised(obj):
+        memo = obj.__dict__
+        if name not in memo:
+            memo[name] = build(obj)
+        return memo[name]
+    return memoised
 
 
 class GroupTooLarge(Exception):
@@ -166,18 +183,15 @@ def fixed_points(perm: Permutation) -> int:
 
 
 class PermutationGroup:
-    """A finite permutation group held as one lexsorted (order, degree)
-    array of image rows, indexed by _ElementKeys; ``elements`` wraps the
-    rows as Permutation objects on first read.
+    """A finite permutation group held as ``images``, the read-only
+    lexsorted (order, degree) array of its elements' image rows, indexed by
+    _ElementKeys; ``elements`` wraps the rows as Permutation objects on
+    first read.  Keys, classes and the Cayley index table are memoised on
+    the group (_memoised).
 
     Constructing one directly trusts that the image rows, given in any
     order, are closed; use close_group to enumerate from generators.
     """
-
-    __slots__ = (
-        "degree", "generators", "_images", "_elements", "_keys", "_cayley",
-        "_classes", "__weakref__",
-    )
 
     def __init__(self, degree, generators, images):
         self.degree = int(degree)
@@ -191,8 +205,8 @@ class PermutationGroup:
             raise ValueError("identity missing")
         if np.any(np.all(images[1:] == images[:-1], axis=1)):
             raise ValueError("duplicate elements")
-        self._images = images
-        self._elements = self._keys = self._cayley = self._classes = None
+        images.flags.writeable = False
+        self.images = images
 
     @classmethod
     def from_elements(cls, elements) -> "PermutationGroup":
@@ -208,21 +222,19 @@ class PermutationGroup:
         rows = np.array([p.images for p in elements], dtype=_dtype_for(degree))
         rank = np.lexsort(rows.T[::-1])
         group = cls(degree, elements, rows[rank])
-        group._elements = tuple(elements[i] for i in rank.tolist())
+        group.elements = tuple(elements[i] for i in rank.tolist())
         return group
 
-    @property
+    @cached_property
     def elements(self) -> tuple[Permutation, ...]:
-        if self._elements is None:
-            self._elements = tuple(map(Permutation._trusted, self._images.tolist()))
-        return self._elements
+        return tuple(map(Permutation._trusted, self.images.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self._images)
+        return len(self.images)
 
     def __len__(self) -> int:
-        return len(self._images)
+        return len(self.images)
 
     def __iter__(self):
         return iter(self.elements)
@@ -240,15 +252,15 @@ class PermutationGroup:
         return Permutation.identity(self.degree)
 
     def contains_group(self, other: "PermutationGroup") -> bool:
-        return bool(_locate(self, other._images)[1].all())
+        return bool(_locate(self, other.images)[1].all())
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PermutationGroup):
             return False
-        return self.degree == other.degree and np.array_equal(self._images, other._images)
+        return self.degree == other.degree and np.array_equal(self.images, other.images)
 
     def __hash__(self) -> int:
-        return hash((self.degree, self._images.tobytes()))
+        return hash((self.degree, self.images.tobytes()))
 
     def __repr__(self) -> str:
         return f"PermutationGroup(degree={self.degree}, order={self.order})"
@@ -256,11 +268,6 @@ class PermutationGroup:
 
 def _dtype_for(degree: int):
     return np.uint8 if degree <= 255 else np.uint16
-
-
-def images_matrix(group: PermutationGroup) -> np.ndarray:
-    """The group's sorted (order, degree) unsigned int image array."""
-    return group._images
 
 
 _KEY_LIMIT = 1 << 63
@@ -315,10 +322,9 @@ class _ElementKeys:
         return np.searchsorted(self.keys, key)
 
 
+@_memoised
 def _element_keys(group: "PermutationGroup") -> _ElementKeys:
-    if group._keys is None:
-        group._keys = _ElementKeys(images_matrix(group))
-    return group._keys
+    return _ElementKeys(group.images)
 
 
 def _locate(group: PermutationGroup, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -331,7 +337,7 @@ def _locate(group: PermutationGroup, rows) -> tuple[np.ndarray, np.ndarray]:
     keys = _element_keys(group)
     # a non-member's key may sort past the last element
     index = np.minimum(keys.lookup(rows[:, : keys.base_length]), len(group) - 1)
-    return index, np.all(group._images[index] == rows, axis=1)
+    return index, np.all(group.images[index] == rows, axis=1)
 
 
 def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
@@ -470,14 +476,13 @@ class ConjugacyClassSet:
         return self is other or np.array_equal(self.images, other.images)
 
 
+@_memoised
 def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
     """Conjugacy classes by direct conjugation of each unlabelled element
     with the whole group (vectorized over the element array), labelling
     its conjugates with its index, the least in their class; memoised on
     the group.  The set holds the image array, not the group: no cycle."""
-    if group._classes is not None:
-        return group._classes
-    E = images_matrix(group)
+    E = group.images
     element_keys = _element_keys(group)
     inv_base = np.argsort(E, axis=1)[:, : element_keys.base_length].astype(E.dtype)
     least = np.full(len(E), -1, dtype=np.intp)
@@ -488,24 +493,22 @@ def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
         conjugated = np.take_along_axis(E, E[idx][inv_base], axis=1)
         least[element_keys.lookup(conjugated)] = idx
     starts, labels, counts = np.unique(least, return_inverse=True, return_counts=True)
-    group._classes = ConjugacyClassSet(images=E, labels=labels, starts=starts, counts=counts)
-    return group._classes
+    return ConjugacyClassSet(images=E, labels=labels, starts=starts, counts=counts)
 
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """Point stabilizer, returned with its members as generators."""
     if not 0 <= point < group.degree:
         raise ValueError("point out of range")
-    rows = group._images[group._images[:, point] == point]
+    rows = group.images[group.images[:, point] == point]
     return PermutationGroup(group.degree, map(Permutation._trusted, rows.tolist()), rows)
 
 
+@_memoised
 def cayley_index_table(group: PermutationGroup) -> np.ndarray:
-    """table[i, j] = index of elements[i] * elements[j], as int32.  Cached
-    on the group after the first call."""
-    if group._cayley is not None:
-        return group._cayley
-    E = images_matrix(group)
+    """table[i, j] = index of elements[i] * elements[j], as int32; memoised
+    on the group."""
+    E = group.images
     element_keys = _element_keys(group)
     n = len(group)
     base_columns = E[:, : element_keys.base_length]
@@ -515,7 +518,6 @@ def cayley_index_table(group: PermutationGroup) -> np.ndarray:
         # products[r, j] holds the base images of elements[start + r] * elements[j]
         products = E[start : start + rows][:, base_columns]
         table[start : start + rows] = element_keys.lookup(products)
-    group._cayley = table
     return table
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .cayley import AffineSpec, CayleyQuandle
 from .modular import is_prime
-from .perms import _blocks, _orbit_labels
+from .perms import _blocks, _memoised, _orbit_labels
 
 Pair = tuple[int, int]
 
@@ -112,6 +112,7 @@ class TauQuotient:
         return _pair_classes(tensor.order, quotient[tensor.labels])
 
 
+@_memoised
 def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     """Orbits of X x X under R_0..R_{k-1}, the translations by the generating
     prefix, which generate Inn, acting diagonally; memoised on the quandle.
@@ -121,16 +122,12 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     order coincides with lexicographic pair order, so ranking those labels
     orders the classes by their least pair.
     """
-    if quandle._tensor_square is not None:
-        return quandle._tensor_square
     n = quandle.order
     columns = quandle._array.T[: quandle._prefix]
     maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(-1, n * n)
     labels = _orbit_labels(maps)
     starts, labels, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    square = TensorSquare(order=n, labels=labels, starts=starts, counts=counts)
-    object.__setattr__(quandle, "_tensor_square", square)
-    return square
+    return TensorSquare(order=n, labels=labels, starts=starts, counts=counts)
 
 
 def tau_quotient(tensor: TensorSquare) -> TauQuotient:

@@ -290,7 +290,18 @@ def _reference_verdict(table):
     return None
 
 
+def _outcome(build, table):
+    try:
+        q = build(table)
+    except (AxiomViolation, ValueError) as exc:
+        return type(exc), exc.args
+    return q, q._prefix
+
+
 def _verdict(table):
+    # building CayleyQuandle directly raises exactly what validate_quandle
+    # raises, or gives an equal quandle with the same generating prefix
+    assert _outcome(CayleyQuandle, table) == _outcome(validate_quandle, table)
     try:
         validate_quandle(table)
     except AxiomViolation as exc:

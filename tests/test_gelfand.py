@@ -376,7 +376,7 @@ def test_double_coset_test_memory():
     assert verdict
     assert peak < 8 * 2**20
     # the |G| x |G| Cayley index table was never built
-    assert group._cayley is None
+    assert "_cayley_index_table" not in vars(group)
 
 
 def test_array_held_group_memory():
@@ -399,7 +399,7 @@ def test_array_held_group_memory():
     assert (len(group), len(sub), len(part), verdict, rank) == (2162, 46, 2, True, 2)
     assert peak < 1.5 * 2**20
     assert held < 0.6 * 2**20
-    assert group._elements is None
+    assert "elements" not in vars(group)
 
 
 def test_tensor_square_memory():

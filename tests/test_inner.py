@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quandlekit import (
+    AbelianGroup,
     AffineSpec,
+    AxiomViolation,
     CayleyQuandle,
     NotInGroup,
     Permutation,
+    abelian_affine_quandle,
     affine_quandle,
+    close_group,
     conjugacy_classes,
     decompose_prime_affine,
     dihedral_quandle,
@@ -30,6 +34,7 @@ from quandlekit import (
     validate_quandle,
     verify_translation_class,
 )
+from quandlekit.perms import _element_keys
 from conftest import connected_affine_specs
 
 
@@ -54,15 +59,28 @@ def test_inner_generators_match_right_translations(order12):
         assert list(inner_generators(quandle)) == expected
 
 
-def test_inner_generators_reject_a_column_that_is_not_a_bijection():
-    # built directly, so never validated: column 1 repeats the entry 1
-    q = CayleyQuandle([[0, 2, 1], [2, 1, 0], [1, 1, 2]])
-    with pytest.raises(ValueError):
-        right_translation(q, 1)
-    with pytest.raises(ValueError):
-        inner_generators(q)
-    with pytest.raises(ValueError):
-        is_connected(q)
+def test_a_directly_built_quandle_is_validated():
+    # column 1 repeats the entry 1
+    with pytest.raises(AxiomViolation) as exc:
+        CayleyQuandle([[0, 2, 1], [2, 1, 0], [1, 1, 2]])
+    assert (exc.value.axiom, exc.value.witness) == (2, (1,))
+
+
+def test_inner_group_from_the_generating_prefix_is_closed_from_all_translations(order12):
+    sigma = (5, 9, 0, 3, 10, 1, 7, 2, 8, 4, 6)
+    inverse = sorted(range(11), key=sigma.__getitem__)
+    q = affine_quandle(AffineSpec(11, 2))
+    relabelled = validate_quandle(
+        [[sigma[q.op(inverse[a], inverse[b])] for b in range(11)] for a in range(11)]
+    )
+    swap = Permutation((0, 1, 3, 2))
+    quandles = [order12, trivial_quandle(5), dihedral_quandle(8),
+                abelian_affine_quandle(AbelianGroup((2, 2)), swap), relabelled]
+    quandles += [affine_quandle(spec) for spec in connected_affine_specs(23)]
+    for quandle in quandles:
+        group = inner_group(quandle)
+        assert (group.images == close_group(inner_generators(quandle)).images).all()
+        assert group.generators == inner_generators(quandle)[: quandle._prefix]
 
 
 def test_inner_group_order_is_modulus_times_multiplier_order():
@@ -74,7 +92,6 @@ def test_inner_group_order_is_modulus_times_multiplier_order():
 
 def test_derived_objects_are_memoised_on_the_quandle():
     q = affine_quandle(AffineSpec(13, 8))
-    assert inner_generators(q) is inner_generators(q)
     assert inner_group(q) is inner_group(q)
     assert tensor_square(q) is tensor_square(q)
 
@@ -103,6 +120,8 @@ def test_spec_memos_do_not_keep_the_quandle_or_group_alive():
     q = affine_quandle(spec)
     group = inner_group(q)
     conjugacy_classes(group)
+    tensor_square(q)
+    _element_keys(group)
     decompose_prime_affine(spec)
     refs = (weakref.ref(q), weakref.ref(group))
     gc.disable()
@@ -111,6 +130,23 @@ def test_spec_memos_do_not_keep_the_quandle_or_group_alive():
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def test_memos_leave_equality_hashing_and_repr_to_the_fields():
+    spec, fresh_spec = AffineSpec(13, 8), AffineSpec(13, 8)
+    q = affine_quandle(spec)
+    group = inner_group(q)
+    conjugacy_classes(group)
+    tensor_square(q)
+    fresh_q = validate_quandle(q.table)
+    fresh_group = close_group(inner_generators(q))
+    for memoised, fresh in ((spec, fresh_spec), (q, fresh_q), (group, fresh_group)):
+        assert memoised == fresh
+        assert hash(memoised) == hash(fresh)
+        assert repr(memoised) == repr(fresh)
+    # equal specs are distinct contexts: each builds its own quandle
+    assert affine_quandle(fresh_spec) is not q
+    assert affine_quandle(fresh_spec) == q
 
 
 def test_inner_group_of_trivial_quandle_is_trivial():

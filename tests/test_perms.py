@@ -20,7 +20,6 @@ from quandlekit.perms import (
     element_order,
     element_order_profile,
     fixed_points,
-    images_matrix,
     orbits,
     stabilizer,
 )
@@ -209,7 +208,7 @@ def test_close_group_matches_plain_closure(gens):
     group = close_group(gens)
     assert [p.images for p in group.elements] == _reference_closure(gens)
     assert group.generators == tuple(gens)
-    assert images_matrix(group).tolist() == [list(p.images) for p in group.elements]
+    assert group.images.tolist() == [list(p.images) for p in group.elements]
 
 
 def _generator_lists(max_size):

@@ -382,3 +382,50 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for line in lines:
         assert main(shlex.split(line)[1:]) == 0, line
+
+
+EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
+
+
+def _pinned_inputs(directory):
+    """Table files for the pinned runs below: the affine (7, 3) table with
+    two entries of column 0 swapped (axiom 3 fails), a table whose column 1
+    is not a bijection, and the (11, 2) table relabelled by a fixed
+    permutation."""
+    rows = [list(row) for row in affine_quandle(AffineSpec(7, 3)).table]
+    rows[1][0], rows[2][0] = rows[2][0], rows[1][0]
+    sigma = (5, 9, 0, 3, 10, 1, 7, 2, 8, 4, 6)
+    inverse = sorted(range(11), key=sigma.__getitem__)
+    q = affine_quandle(AffineSpec(11, 2))
+    relabelled = [[sigma[q.op(inverse[a], inverse[b])] for b in range(11)] for a in range(11)]
+    for name, table in (("corrupted.txt", rows), ("relabelled.txt", relabelled)):
+        lines = [str(len(table))] + [" ".join(map(str, row)) for row in table]
+        (directory / name).write_text("\n".join(lines) + "\n")
+    (directory / "not-bijective.txt").write_text("3\n0 2 1\n2 1 0\n1 1 2\n")
+
+
+@pytest.mark.parametrize(
+    "argv, out_digest, err_digest, code",
+    [
+        (["validate", "corrupted.txt"], EMPTY_DIGEST,
+         "4caceebf7dead08f95009646cad7ab0d8fb3baa580876fa13f01286a39e0fb82", 1),
+        (["validate", "not-bijective.txt"], EMPTY_DIGEST,
+         "434024f117ce5a2be47b9584b976d6935037da70decb0f3725bd10a04a2866b3", 1),
+        (["gelfand", "--affine", "43", "3"],
+         "1816b22824af7b124358f0404edc6f49004b09117f6898da089b60e9ca4a9d1a", EMPTY_DIGEST, 0),
+        (["analyze", "--json", "-", "relabelled.txt"],
+         "f0835dc4ae3d903fe02a2127fef41bd2b57d28d4a3e9430a0aa972caa2f215a7", EMPTY_DIGEST, 0),
+    ],
+)
+def test_cli_outputs_and_exit_codes_are_pinned(argv, out_digest, err_digest, code,
+                                               tmp_path, monkeypatch, capsys):
+    """SHA-256 of standard output and of standard error, and the exit code,
+    pinned for rejected tables and for reports that test_cli_json_output_is_pinned
+    leaves out; files are named relative to the working directory, as the
+    report echoes the path."""
+    _pinned_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == code
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
+    assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
