@@ -48,7 +48,6 @@ from .characters import (
     MetacyclicFamily,
     burnside_rank,
     class_label,
-    conjugate_orbit,
     decompose_prime_affine,
     inertia_group_size,
     inner_product,
@@ -81,7 +80,7 @@ from .inner import (
     translation_power_exponents,
     verify_translation_class,
 )
-from .modular import geometric_sum, is_prime, multiplicative_order, units
+from .modular import conjugate_orbit, geometric_sum, is_prime, multiplicative_order, units
 from .perms import (
     ConjugacyClassSet,
     GroupTooLarge,

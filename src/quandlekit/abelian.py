@@ -13,7 +13,9 @@ abelian groups", Amer. Math. Monthly, 2007, give |Aut(A)| in closed form).
 Both the enumeration and the extension work on the n x n addition table
 of element-list indices.  The enumeration wraps finished image rows as
 permutations without re-checking them; the extension and the translation
-group hand their rows to PermutationGroup as one array.
+group hand their rows to PermutationGroup as one array.  The table and the
+automorphisms are memoised on the AbelianGroup (perms._memoised), so
+automorphism_group and every extension of one group reuse them.
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ from math import prod
 
 import numpy as np
 
-from .perms import GroupTooLarge, Permutation, PermutationGroup
+from .cayley import validate_quandle
+from .perms import GroupTooLarge, Permutation, PermutationGroup, _memoised
 
 # Largest number of candidate generator-image assignments that
 # automorphism_permutations expands; (2,2,2,2), the largest of any type of
@@ -142,15 +145,21 @@ def _radix_weights(moduli: np.ndarray) -> np.ndarray:
     return weights
 
 
+@_memoised
 def _addition_table(group: AbelianGroup) -> np.ndarray:
-    """The n x n table of element-list indices of a + b."""
+    """The read-only n x n table of element-list indices of a + b;
+    memoised on the group."""
     moduli = np.array(group.moduli, dtype=np.int64)
     coords = np.array(group.elements, dtype=np.int64)
-    return (coords[:, None, :] + coords[None, :, :]) % moduli @ _radix_weights(moduli)
+    table = (coords[:, None, :] + coords[None, :, :]) % moduli @ _radix_weights(moduli)
+    table.flags.writeable = False
+    return table
 
 
-def automorphism_permutations(group: AbelianGroup) -> list[Permutation]:
-    """Every automorphism, as a permutation of the element list.
+@_memoised
+def automorphism_permutations(group: AbelianGroup) -> tuple[Permutation, ...]:
+    """Every automorphism, as a permutation of the element list; memoised
+    on the group.
 
     A homomorphism is fixed by the images h_1..h_k of the standard
     generators; the image of a generator of order m must itself be killed
@@ -196,13 +205,13 @@ def automorphism_permutations(group: AbelianGroup) -> list[Permutation]:
         ].reshape(len(keep), -1)
     if not np.all(np.sort(spans, axis=1) == np.arange(group.order)):
         raise RuntimeError(f"a kept map of {group.moduli} is not a bijection")
-    return [Permutation._trusted(row) for row in spans.tolist()]
+    return tuple(map(Permutation._trusted, spans.tolist()))
 
 
 def automorphism_group(group: AbelianGroup) -> PermutationGroup:
-    """Aut(A) acting on the element list, fully enumerated."""
-    perms = automorphism_permutations(group)
-    return PermutationGroup.from_elements(perms)
+    """Aut(A) acting on the element list, built from the memoised
+    automorphism_permutations."""
+    return PermutationGroup.from_elements(automorphism_permutations(group))
 
 
 def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
@@ -212,8 +221,6 @@ def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
     the extension built by affine_extension with the point stabilizer the
     cyclic subgroup generated by f.
     """
-    from .cayley import validate_quandle
-
     if automorphism.degree != group.order:
         raise ValueError("automorphism degree must match the group order")
     moduli = np.array(group.moduli, dtype=np.int64)

@@ -11,7 +11,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 
-from .cayley import AffineSpec, CayleyQuandle, affine_quandle, right_translation
+from . import __version__
+from .cayley import AffineSpec, CayleyQuandle, affine_quandle, is_latin, right_translation
 from .characters import BadParameters, burnside_rank, decompose_prime_affine
 from .gelfand import is_gelfand_pair, is_multiplicity_free
 from .inner import inner_group, is_connected
@@ -172,9 +173,6 @@ def analyze(
     gets the decomposition of its module into irreducibles with exact
     integer multiplicities (decompose_prime_affine).
     """
-    from . import __version__
-    from .cayley import is_latin
-
     order = quandle.order
     group = inner_group(quandle)
     connected = is_connected(quandle)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .cayley import AffineSpec, affine_quandle
 from .inner import InnerPresentation, inner_group, normal_form, presentation
-from .modular import is_prime, multiplicative_order
+from .modular import conjugate_orbit, is_prime, multiplicative_order
 from .perms import ConjugacyClassSet, Permutation, PermutationGroup, conjugacy_classes
 
 
@@ -166,16 +166,6 @@ class MetacyclicFamily:
                 e = e * u % p
             return total
         raise ValueError(f"unknown irreducible {irr!r}")
-
-
-def conjugate_orbit(p: int, u: int, k: int) -> frozenset[int]:
-    """Orbit of k under multiplication by u modulo p."""
-    orbit = {k % p}
-    x = k * u % p
-    while x not in orbit:
-        orbit.add(x)
-        x = x * u % p
-    return frozenset(orbit)
 
 
 def inertia_group_size(p: int, n: int, u: int, k: int) -> int:

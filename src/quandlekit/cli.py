@@ -325,10 +325,7 @@ def main(argv=None) -> int:
     except AxiomViolation as exc:
         print(f"invalid quandle: {exc}", file=sys.stderr)
         return 1
-    except (QuandleError, BadParameters, NotConnected, GroupTooLarge) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (QuandleError, BadParameters, NotConnected, GroupTooLarge, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

@@ -22,8 +22,8 @@ structure constants of the double-coset algebra, which fix each product
 of double-coset sums, at one representative per double coset: r |G|
 products for r double cosets (Ceccherini-Silberstein, Scarabotti and
 Tolli, Harmonic Analysis on Finite Groups, CUP 2008, on finite Gelfand
-pairs).  Double cosets are held as labels over element indices, like the
-tensor classes, and is_gelfand_pair reads only those arrays.
+pairs).  Double cosets are a perms.Partition over element indices, like
+the tensor classes, and is_gelfand_pair reads only its arrays.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ from .cayley import CayleyQuandle
 from .inner import is_connected
 from .perms import (
     NotASubgroup,
+    Partition,
     Permutation,
     PermutationGroup,
     _PRODUCT_CHUNK,
-    _blocks,
     _element_keys,
 )
 from .tensor import TensorSquare, tensor_square
@@ -163,25 +163,19 @@ def symmetric_orbital_shortcut(quandle: CayleyQuandle) -> bool:
     return np.array_equal(ts._partners(), np.arange(len(ts)))
 
 
-@dataclass(frozen=True, eq=False)
-class DoubleCosetPartition:
-    """Partition of a group into double cosets K g K of a subgroup K: coset
-    ``labels[g]`` of element index g, least index ``starts[i]`` and size
-    ``counts[i]`` of coset i.  Cosets are ordered by least index, so K comes
-    first; ``cosets`` lists the element indices of each, ascending."""
+@dataclass(frozen=True, eq=False, kw_only=True)
+class DoubleCosetPartition(Partition):
+    """Partition of a group into double cosets K g K of a subgroup K, one
+    block per coset over element indices.  Cosets are ordered by least
+    index, so K comes first; ``cosets`` lists the element indices of each,
+    ascending."""
 
     group: PermutationGroup
     subgroup: PermutationGroup
-    labels: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.counts)
 
     @cached_property
     def cosets(self) -> tuple[tuple[int, ...], ...]:
-        return _blocks(self.labels, range(len(self.labels)))
+        return self.blocks(range(len(self.labels)))
 
     def members(self, index: int) -> tuple[Permutation, ...]:
         return tuple(self.group.elements[i] for i in self.cosets[index])
@@ -220,8 +214,7 @@ def double_cosets(group: PermutationGroup,
         block = slice(start, start + step)
         # [g, k]: base images of g * k
         label[block] = left_min[keys.lookup(images[block][:, sub_base])].min(axis=1)
-    starts, labels, counts = np.unique(label, return_inverse=True, return_counts=True)
-    return DoubleCosetPartition(group, subgroup, labels, starts, counts)
+    return DoubleCosetPartition.from_least(label, group=group, subgroup=subgroup)
 
 
 def is_gelfand_pair(group: PermutationGroup,

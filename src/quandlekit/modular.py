@@ -49,6 +49,16 @@ def geometric_sum(t: int, k: int, m: int) -> int:
     return total
 
 
+def conjugate_orbit(p: int, u: int, k: int) -> frozenset[int]:
+    """Orbit of k under multiplication by u modulo p."""
+    orbit = {k % p}
+    x = k * u % p
+    while x not in orbit:
+        orbit.add(x)
+        x = x * u % p
+    return frozenset(orbit)
+
+
 def units(m: int) -> list[int]:
     """Multiplicative units modulo m, ascending.  units(1) == [0]."""
     if m == 1:

@@ -6,10 +6,10 @@ image rows, which keeps every derived object (orbits, conjugacy classes,
 cosets) reproducible across runs; Permutation objects for its elements
 are built from that array on first read.
 
-Conjugacy classes here and double cosets in gelfand are held as the
-tensor square is: the block label of every element index, and the least
-index (the representative) and size of every block; _blocks builds the
-member tuples only when they are read.
+Conjugacy classes here, the tensor square and the double cosets in
+gelfand are Partition subclasses: the block label of every element or
+pair index, and the least index (the representative) and size of every
+block; Partition.blocks builds the member tuples only when they are read.
 
 close_group prunes redundant generators as in Dimino's algorithm (Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): a
@@ -436,30 +436,23 @@ def orbits(group, domain=None) -> list[tuple[int, ...]]:
     return out
 
 
-def _blocks(labels: np.ndarray, items) -> tuple[tuple, ...]:
-    """The items grouped by the label of their index, blocks in label
-    order and each block in index order."""
-    order = np.argsort(labels, kind="stable").tolist()
-    bounds = np.cumsum(np.bincount(labels)).tolist()
-    ordered = [items[k] for k in order]
-    return tuple(tuple(ordered[a:b]) for a, b in zip([0, *bounds], bounds))
+@dataclass(frozen=True, eq=False, kw_only=True)
+class Partition:
+    """Partition of the indices 0..N-1 into blocks: block ``labels[k]`` of
+    index k, least index ``starts[i]`` (the block's representative) and
+    size ``counts[i]`` of block i.  Blocks are ordered by least index.
+    Subclasses add their own fields; every field is keyword-only."""
 
-
-@dataclass(frozen=True, eq=False)
-class ConjugacyClassSet:
-    """Conjugacy classes of the group with image array ``images``: class
-    ``labels[k]`` of element k, least element index ``starts[i]`` and size
-    ``counts[i]`` of class i.  Classes are ordered by least member, so the
-    identity class is first; each class read from ``classes`` is sorted."""
-
-    images: np.ndarray
     labels: np.ndarray
     starts: np.ndarray
     counts: np.ndarray
 
-    @cached_property
-    def representatives(self) -> tuple[Permutation, ...]:
-        return tuple(map(Permutation._trusted, self.images[self.starts].tolist()))
+    @classmethod
+    def from_least(cls, least: np.ndarray, **fields):
+        """The partition in which index k lies in the block whose least
+        index is ``least[k]``; ``fields`` are the subclass's own."""
+        starts, labels, counts = np.unique(least, return_inverse=True, return_counts=True)
+        return cls(labels=labels, starts=starts, counts=counts, **fields)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -468,9 +461,31 @@ class ConjugacyClassSet:
     def __len__(self) -> int:
         return len(self.counts)
 
+    def blocks(self, items) -> tuple[tuple, ...]:
+        """``items[k]`` grouped by the block of k, blocks in order and each
+        block in index order."""
+        order = np.argsort(self.labels, kind="stable").tolist()
+        bounds = np.cumsum(self.counts).tolist()
+        ordered = [items[k] for k in order]
+        return tuple(tuple(ordered[a:b]) for a, b in zip([0, *bounds], bounds))
+
+
+@dataclass(frozen=True, eq=False, kw_only=True)
+class ConjugacyClassSet(Partition):
+    """Conjugacy classes of the group with image array ``images``, one
+    block per class over element indices.  Classes are ordered by least
+    member, so the identity class is first; each class read from
+    ``classes`` is sorted."""
+
+    images: np.ndarray
+
+    @cached_property
+    def representatives(self) -> tuple[Permutation, ...]:
+        return tuple(map(Permutation._trusted, self.images[self.starts].tolist()))
+
     @cached_property
     def classes(self) -> tuple[tuple[Permutation, ...], ...]:
-        return _blocks(self.labels, list(map(Permutation._trusted, self.images.tolist())))
+        return self.blocks(list(map(Permutation._trusted, self.images.tolist())))
 
     def same_classes(self, other: "ConjugacyClassSet") -> bool:
         return self is other or np.array_equal(self.images, other.images)
@@ -492,8 +507,7 @@ def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
         # row m holds the base images of  g_m o x o g_m^{-1}
         conjugated = np.take_along_axis(E, E[idx][inv_base], axis=1)
         least[element_keys.lookup(conjugated)] = idx
-    starts, labels, counts = np.unique(least, return_inverse=True, return_counts=True)
-    return ConjugacyClassSet(images=E, labels=labels, starts=starts, counts=counts)
+    return ConjugacyClassSet.from_least(least, images=E)
 
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:

@@ -7,10 +7,12 @@ classes, and the quotient under that involution is computed here too.
 For connected affine quandles with prime modulus both objects have closed
 forms driven by the difference y - x, which this module also provides.
 
-A tensor square is held as arrays over pair indices x*n + y: the class
-of every pair, the least pair of every class and the class sizes.  The
-classes as tuples of pairs are built only when read.  The tensor square
-is memoised on its quandle and holds no reference to it.
+A tensor square is a perms.Partition over pair indices x*n + y: the
+class of every pair, the least pair of every class and the class sizes.
+The classes as tuples of pairs are built only when read.  The tensor
+square is memoised on its quandle and holds no reference to it.  The swap
+quotient is kept as a merge of tensor classes and becomes a partition of
+the pair space only when its classes are read.
 """
 
 from __future__ import annotations
@@ -21,48 +23,31 @@ from functools import cached_property
 import numpy as np
 
 from .cayley import AffineSpec, CayleyQuandle
-from .modular import is_prime
-from .perms import _blocks, _memoised, _orbit_labels
+from .modular import conjugate_orbit, is_prime
+from .perms import Partition, _memoised, _orbit_labels
 
 Pair = tuple[int, int]
 
 
-def _pair_classes(order: int, labels: np.ndarray):
-    """Pairs grouped by class label, each class sorted, in label order."""
-    xs, ys = np.divmod(np.arange(order * order), order)
-    return _blocks(labels, list(zip(xs.tolist(), ys.tolist())))
-
-
-@dataclass(frozen=True, eq=False)
-class TensorSquare:
-    """Partition of the pair space into diagonal-action orbits.
-
-    ``labels[x*n + y]`` is the class of the pair (x, y); ``starts[i]`` is
-    the pair index of the least pair of class i, which doubles as the class
-    representative; ``counts[i]`` is the size of class i.  Classes are
-    ordered by their least pair, and each class read from ``classes`` is
-    sorted.
+@dataclass(frozen=True, eq=False, kw_only=True)
+class TensorSquare(Partition):
+    """Partition of the pair space of a quandle of the given order into
+    diagonal-action orbits, one block per class over pair indices x*n + y;
+    ``starts[i]``, the least pair of class i, doubles as its representative.
+    Classes are ordered by their least pair, and each class read from
+    ``classes`` is sorted.
     """
 
     order: int
-    labels: np.ndarray
-    starts: np.ndarray
-    counts: np.ndarray
 
     @property
     def representatives(self) -> tuple[Pair, ...]:
         return tuple(divmod(k, self.order) for k in self.starts.tolist())
 
-    @property
-    def sizes(self) -> tuple[int, ...]:
-        return tuple(self.counts.tolist())
-
-    def __len__(self) -> int:
-        return len(self.counts)
-
     @cached_property
     def classes(self) -> tuple[tuple[Pair, ...], ...]:
-        return _pair_classes(self.order, self.labels)
+        xs, ys = np.divmod(np.arange(self.order**2), self.order)
+        return self.blocks(list(zip(xs.tolist(), ys.tolist())))
 
     def class_of(self, pair: Pair) -> int:
         """Index of the class containing the pair; KeyError when the pair
@@ -104,12 +89,13 @@ class TauQuotient:
 
     @cached_property
     def classes(self) -> tuple[tuple[Pair, ...], ...]:
-        """Pairs of each quotient class, sorted.  Ranking the lesser of each
-        tensor class and its partner numbers the quotient classes."""
+        """Pairs of each quotient class, sorted.  The least pair of a
+        quotient class is that of the lesser of its tensor class and that
+        class's partner."""
         tensor = self.tensor
         lesser = np.minimum(np.arange(len(tensor)), tensor._partners())
-        quotient = np.unique(lesser, return_inverse=True)[1]
-        return _pair_classes(tensor.order, quotient[tensor.labels])
+        least = tensor.starts[lesser][tensor.labels]
+        return TensorSquare.from_least(least, order=tensor.order).classes
 
 
 @_memoised
@@ -125,9 +111,7 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     n = quandle.order
     columns = quandle._array.T[: quandle._prefix]
     maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(-1, n * n)
-    labels = _orbit_labels(maps)
-    starts, labels, counts = np.unique(labels, return_inverse=True, return_counts=True)
-    return TensorSquare(order=n, labels=labels, starts=starts, counts=counts)
+    return TensorSquare.from_least(_orbit_labels(maps), order=n)
 
 
 def tau_quotient(tensor: TensorSquare) -> TauQuotient:
@@ -149,17 +133,6 @@ def _require_prime(spec: AffineSpec) -> int:
     return spec.modulus
 
 
-def _difference_coset(spec: AffineSpec, difference: int) -> set[int]:
-    p = spec.modulus
-    t = spec.multiplier % p
-    coset = set()
-    a = difference % p
-    while a not in coset:
-        coset.add(a)
-        a = a * t % p
-    return coset
-
-
 def affine_tensor_class(spec: AffineSpec, difference: int) -> frozenset[Pair]:
     """Closed-form tensor class over a prime affine quandle.
 
@@ -169,7 +142,7 @@ def affine_tensor_class(spec: AffineSpec, difference: int) -> frozenset[Pair]:
     p = _require_prime(spec)
     if difference % p == 0:
         return frozenset((i, i) for i in range(p))
-    coset = _difference_coset(spec, difference)
+    coset = conjugate_orbit(p, spec.multiplier, difference)
     return frozenset((i, (i + c) % p) for i in range(p) for c in coset)
 
 
@@ -189,7 +162,7 @@ def orbital_invariant(spec: AffineSpec, pair: Pair) -> int:
         raise ValueError("pair out of range")
     if x == y:
         return 0
-    return min(_difference_coset(spec, y - x))
+    return min(conjugate_orbit(p, spec.multiplier, y - x))
 
 
 def predicted_tensor_size(spec: AffineSpec) -> int:

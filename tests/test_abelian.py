@@ -286,3 +286,21 @@ def test_automorphism_enumeration_memory():
         tracemalloc.stop()
     assert len(autos) == 20160
     assert peak < 32 * 2**20
+
+
+def test_automorphisms_and_addition_table_are_memoised_on_the_group():
+    from quandlekit.abelian import _addition_table
+
+    group = AbelianGroup((2, 2, 4))
+    table = _addition_table(group)
+    assert _addition_table(group) is table
+    assert not table.flags.writeable
+    autos = automorphism_permutations(group)
+    assert isinstance(autos, tuple)
+    assert automorphism_permutations(group) is autos
+    # from_elements keeps the objects it is given: no second enumeration
+    aut = automorphism_group(group)
+    assert {id(f) for f in aut.elements} == {id(f) for f in autos}
+    assert automorphism_permutations(AbelianGroup((2, 2, 4))) is not autos
+    assert group == AbelianGroup((2, 2, 4))
+    assert repr(group) == "AbelianGroup(moduli=(2, 2, 4))"

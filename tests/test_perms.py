@@ -7,10 +7,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.cayley import AffineSpec, affine_quandle, right_translation, validate_quandle
+from quandlekit.abelian import AbelianGroup, affine_extension, automorphism_permutations
+from quandlekit.cayley import (
+    AffineSpec,
+    affine_quandle,
+    right_translation,
+    trivial_quandle,
+    validate_quandle,
+)
+from quandlekit.gelfand import double_cosets
 from quandlekit.inner import inner_generators, inner_group
 from quandlekit.perms import (
     GroupTooLarge,
+    Partition,
     Permutation,
     PermutationGroup,
     cayley_index_table,
@@ -23,6 +32,8 @@ from quandlekit.perms import (
     orbits,
     stabilizer,
 )
+from quandlekit.tables import bundled_order12
+from quandlekit.tensor import tensor_square
 from quandlekit.perms import _PRODUCT_CHUNK, _element_keys, _orbit_labels
 
 
@@ -444,3 +455,61 @@ def test_membership_matches_plain_index():
         with pytest.raises(KeyError):
             group.index_of(other)
         assert not group.contains_group(close_group([other])), name
+
+
+_PARTITION_QUANDLES = {
+    "bundled": bundled_order12,
+    "(13, 8)": lambda: affine_quandle(AffineSpec(13, 8)),
+    "(21, 11)": lambda: affine_quandle(AffineSpec(21, 11)),
+    "trivial(5)": lambda: trivial_quandle(5),
+}
+
+
+def _stabilizer_double_cosets(quandle):
+    group = inner_group(quandle)
+    return double_cosets(group, stabilizer(group, 0))
+
+
+def _extension_double_cosets():
+    group = AbelianGroup((2, 4))
+    return double_cosets(*affine_extension(group, automorphism_permutations(group)[-1]))
+
+
+def _partition_cases():
+    """(id, builder) for every partition the library returns: the tensor
+    square, the conjugacy classes of Inn and the double cosets of
+    (Inn, Stab(0)) of each quandle above, and one extension pair."""
+    cases = []
+    for name, build in _PARTITION_QUANDLES.items():
+        cases.append((f"tensor {name}", lambda build=build: tensor_square(build())))
+        cases.append((f"classes {name}",
+                      lambda build=build: conjugacy_classes(inner_group(build()))))
+        cases.append((f"cosets {name}",
+                      lambda build=build: _stabilizer_double_cosets(build())))
+    cases.append(("cosets (2, 4) extension", _extension_double_cosets))
+    return cases
+
+
+@pytest.mark.parametrize("build", [b for _, b in _partition_cases()],
+                         ids=[name for name, _ in _partition_cases()])
+def test_partition_invariants(build):
+    part = build()
+    assert isinstance(part, Partition)
+    labels, starts, counts = part.labels, part.starts, part.counts
+    size = len(labels)
+    assert len(part) == len(starts) == len(counts)
+    assert part.sizes == tuple(counts.tolist())
+    assert np.array_equal(labels[starts], np.arange(len(part)))
+    assert np.array_equal(counts, np.bincount(labels))
+    assert np.all(np.diff(starts) > 0)
+    first = np.full(len(part), size)
+    np.minimum.at(first, labels, np.arange(size))
+    assert np.array_equal(first, starts)
+    blocks = part.blocks(range(size))
+    assert sorted(itertools.chain(*blocks)) == list(range(size))
+    assert [block[0] for block in blocks] == starts.tolist()
+    for index, block in enumerate(blocks):
+        assert list(block) == sorted(block)
+        assert np.all(labels[list(block)] == index)
+    with pytest.raises(TypeError):
+        type(part)(labels, starts, counts)

@@ -415,6 +415,15 @@ def _pinned_inputs(directory):
          "1816b22824af7b124358f0404edc6f49004b09117f6898da089b60e9ca4a9d1a", EMPTY_DIGEST, 0),
         (["analyze", "--json", "-", "relabelled.txt"],
          "f0835dc4ae3d903fe02a2127fef41bd2b57d28d4a3e9430a0aa972caa2f215a7", EMPTY_DIGEST, 0),
+        (["tensor", "--affine", "13", "9", "--tau"],
+         "5a1cf83b5814200bcc59149a8bdbd6098bc51152a91e4181cee28e7e62c7230c", EMPTY_DIGEST, 0),
+        (["tensor", "--bundled", "--tau"],
+         "f1a56caa971ae79f249224de768e1eb65c27407f1a954c0ce040415a5c995445", EMPTY_DIGEST, 0),
+        (["decompose", "--affine", "13", "8"],
+         "9b3b52820a39485ddb7631822dd9d52c617ed0ee3ece4fd05b3ac3e5cf6827e0", EMPTY_DIGEST, 0),
+        # "error: modulus must be at least 1\n", a ValueError from AffineSpec
+        (["analyze", "--affine", "0", "1"], EMPTY_DIGEST,
+         "2131a1dc17d106906ed7050e011d4b8026fa58adfb431cc82060cfb407b7516f", 1),
     ],
 )
 def test_cli_outputs_and_exit_codes_are_pinned(argv, out_digest, err_digest, code,
