@@ -10,6 +10,8 @@ Conjugacy classes here, the tensor square and the double cosets in
 gelfand are Partition subclasses: the block label of every element or
 pair index, and the least index (the representative) and size of every
 block; Partition.blocks builds the member tuples only when they are read.
+Conjugacy classes are the orbits of G acting on itself by conjugation, so
+conjugacy_classes conjugates by a greedy generating set S, |S| <= log2 |G|.
 
 close_group prunes redundant generators as in Dimino's algorithm (Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): a
@@ -450,9 +452,14 @@ class Partition:
     @classmethod
     def from_least(cls, least: np.ndarray, **fields):
         """The partition in which index k lies in the block whose least
-        index is ``least[k]``; ``fields`` are the subclass's own."""
-        starts, labels, counts = np.unique(least, return_inverse=True, return_counts=True)
-        return cls(labels=labels, starts=starts, counts=counts, **fields)
+        index is ``least[k]``; ``fields`` are the subclass's own.  Raises
+        ValueError unless 0 <= least[k] <= k and least[least[k]] == least[k]."""
+        index = np.arange(len(least))
+        is_least = least == index
+        if not (np.all((least >= 0) & (least <= index)) and is_least[least].all()):
+            raise ValueError("labels are not the least indices of their blocks")
+        labels = np.cumsum(is_least)[least] - 1
+        return cls(labels=labels, starts=least[is_least], counts=np.bincount(labels), **fields)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -493,21 +500,24 @@ class ConjugacyClassSet(Partition):
 
 @_memoised
 def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
-    """Conjugacy classes by direct conjugation of each unlabelled element
-    with the whole group (vectorized over the element array), labelling
-    its conjugates with its index, the least in their class; memoised on
-    the group.  The set holds the image array, not the group: no cycle."""
-    E = group.images
-    element_keys = _element_keys(group)
-    inv_base = np.argsort(E, axis=1)[:, : element_keys.base_length].astype(E.dtype)
-    least = np.full(len(E), -1, dtype=np.intp)
-    for idx in range(len(E)):
-        if least[idx] >= 0:
-            continue
-        # row m holds the base images of  g_m o x o g_m^{-1}
-        conjugated = np.take_along_axis(E, E[idx][inv_base], axis=1)
-        least[element_keys.lookup(conjugated)] = idx
-    return ConjugacyClassSet.from_least(least, images=E)
+    """Conjugacy classes as the orbits of conjugation by a greedy generating
+    set S, each labelled by its least index (_orbit_labels); memoised on the
+    group.  The least index outside <S> joins S, and <S> is the orbit of the
+    identity under x -> s x, so each new s at least doubles <S>: |S| <=
+    log2 |G|, and the split costs 2|S| key lookups.  S is read off the
+    element list, never ``group.generators``.  The set holds the image
+    array, not the group: no cycle."""
+    E, keys = group.images, _element_keys(group)
+    left = conjugation = np.empty((0, len(E)), dtype=np.int32)
+    span = np.arange(len(E)) == 0
+    while not span.all():
+        s = E[np.argmin(span)]
+        inverse = np.argsort(s)[: keys.base_length]
+        # x -> s x and x -> s x s^-1 as indices from base images; int32 halves them
+        left = np.vstack([left, keys.lookup(s[E[:, : keys.base_length]])], dtype=np.int32)
+        conjugation = np.vstack([conjugation, keys.lookup(s[E[:, inverse]])], dtype=np.int32)
+        span = _orbit_labels(left) == 0
+    return ConjugacyClassSet.from_least(_orbit_labels(conjugation).astype(np.intp), images=E)
 
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:

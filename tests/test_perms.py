@@ -7,7 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quandlekit.abelian import AbelianGroup, affine_extension, automorphism_permutations
+from quandlekit.abelian import (
+    AbelianGroup,
+    abelian_types,
+    affine_extension,
+    automorphism_group,
+    automorphism_permutations,
+)
 from quandlekit.cayley import (
     AffineSpec,
     affine_quandle,
@@ -17,7 +23,9 @@ from quandlekit.cayley import (
 )
 from quandlekit.gelfand import double_cosets
 from quandlekit.inner import inner_generators, inner_group
+from quandlekit.modular import units
 from quandlekit.perms import (
+    ConjugacyClassSet,
     GroupTooLarge,
     Partition,
     Permutation,
@@ -34,7 +42,7 @@ from quandlekit.perms import (
 )
 from quandlekit.tables import bundled_order12
 from quandlekit.tensor import tensor_square
-from quandlekit.perms import _PRODUCT_CHUNK, _element_keys, _orbit_labels
+from quandlekit.perms import _PRODUCT_CHUNK, _element_keys, _ElementKeys, _orbit_labels
 
 
 def _indexing_cases():
@@ -355,6 +363,167 @@ def test_class_equation_and_divisibility():
         assert tuple(rebuilt) == g.elements
 
 
+def _symmetric_group(n):
+    return close_group([Permutation.from_cycles(n, [tuple(range(n))]),
+                        Permutation.from_cycles(n, [(0, 1)])])
+
+
+def _sympy_cases():
+    return {
+        "S5": lambda: _symmetric_group(5),
+        "S6": lambda: _symmetric_group(6),
+        "S7": lambda: _symmetric_group(7),
+        "Aut(2,2,2)": lambda: automorphism_group(AbelianGroup((2, 2, 2))),
+        "Aut(4,4)": lambda: automorphism_group(AbelianGroup((4, 4))),
+        "Inn(47,5)": lambda: inner_group(affine_quandle(AffineSpec(47, 5))),
+        "Inn(21,11)": lambda: inner_group(affine_quandle(AffineSpec(21, 11))),
+    }
+
+
+@pytest.mark.parametrize("name", list(_sympy_cases()))
+def test_conjugacy_classes_match_sympy(name):
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    group = _sympy_cases()[name]()
+    reference = combinatorics.PermutationGroup(
+        [combinatorics.Permutation(list(g.images)) for g in group.generators]
+    ).conjugacy_classes()
+    classes = conjugacy_classes(group).classes
+    assert sorted(map(len, classes)) == sorted(map(len, reference))
+    assert {frozenset(p.images for p in c) for c in classes} == {
+        frozenset(tuple(p.array_form) for p in c) for c in reference
+    }
+
+
+def _definition_classes(group):
+    """Conjugacy classes straight from the definition, in plain Python:
+    the class of x is {g x g^-1 : g in G} over every element g; classes
+    sorted, ordered by least member."""
+    pairs = [(g, g.inverse()) for g in group.elements]
+    seen = set()
+    classes = []
+    for x in group.elements:
+        if x not in seen:
+            members = {g * x * g_inv for g, g_inv in pairs}
+            seen |= members
+            classes.append(tuple(sorted(members, key=lambda p: p.images)))
+    return tuple(classes)
+
+
+def _small_groups():
+    """(name, group) of order at most 200: inner groups of affine quandles,
+    automorphism and extension groups of small abelian groups, S4 and S5,
+    the bundled inner group, and S4 listed with the identity as its only
+    stored generator."""
+    cases = [(f"Inn({m},{t})", inner_group(affine_quandle(AffineSpec(m, t))))
+             for m in range(1, 32) for t in units(m)]
+    for moduli in [(2, 2), (2, 4), (3, 3), (2, 2, 2)]:
+        cases.append((f"Aut{moduli}", automorphism_group(AbelianGroup(moduli))))
+    cases.append(("(2,4) extension", _extension_pair()[0]))
+    cases.append(("S4", _symmetric_group(4)))
+    cases.append(("S5", _symmetric_group(5)))
+    cases.append(("bundled", inner_group(bundled_order12())))
+    s4 = _symmetric_group(4).images
+    cases.append(("S4, identity generator",
+                  PermutationGroup(4, [Permutation.identity(4)], s4)))
+    return [(name, group) for name, group in cases if len(group) <= 200]
+
+
+def test_conjugacy_classes_match_the_definition():
+    cases = _small_groups()
+    assert len(cases) > 200 and "S4, identity generator" in dict(cases)
+    for name, group in cases:
+        assert conjugacy_classes(group).classes == _definition_classes(group), name
+
+
+def test_class_split_looks_up_at_most_two_key_sets_per_doubling(monkeypatch):
+    """The greedy generating set S has at most floor(log2 |G|) members and
+    the split looks up 2|S| key sets; a loop over the classes makes one
+    lookup per class, 47 on Inn(47, 5) and 1000 on Z_1000."""
+    calls = []
+    lookup = _ElementKeys.lookup
+    monkeypatch.setattr(_ElementKeys, "lookup",
+                        lambda keys, base: calls.append(len(base)) or lookup(keys, base))
+    groups = [
+        inner_group(affine_quandle(AffineSpec(47, 5))),
+        close_group([Permutation.from_cycles(1000, [tuple(range(1000))])]),
+        automorphism_group(AbelianGroup((2, 2, 2, 2))),
+    ]
+    for group in groups:
+        fresh = PermutationGroup(group.degree, group.generators, group.images)
+        calls.clear()
+        classes = conjugacy_classes(fresh)
+        assert 0 < len(calls) <= 2 * (len(group).bit_length() - 1), len(group)
+        assert np.array_equal(classes.labels, conjugacy_classes(group).labels)
+
+
+def _per_class_least(group):
+    """A frozen copy of the per-class loop: conjugate each element not yet
+    labelled by the whole group at once and label its conjugates with its
+    index, the least in their class."""
+    E = group.images
+    keys = _element_keys(group)
+    inv_base = np.argsort(E, axis=1)[:, : keys.base_length].astype(E.dtype)
+    least = np.full(len(E), -1, dtype=np.intp)
+    for idx in range(len(E)):
+        if least[idx] < 0:
+            # row m holds the base images of  g_m o x o g_m^{-1}
+            conjugated = np.take_along_axis(E, E[idx][inv_base], axis=1)
+            least[keys.lookup(conjugated)] = idx
+    return least
+
+
+def _extension_pair():
+    group = AbelianGroup((2, 4))
+    return affine_extension(group, automorphism_permutations(group)[-1])
+
+
+def _differential_groups(family):
+    if family == "affine m <= 31":
+        for m in range(1, 32):
+            for t in units(m):
+                group = inner_group(affine_quandle(AffineSpec(m, t)))
+                yield group
+                yield stabilizer(group, 0)
+    elif family == "abelian order <= 16":
+        for order in range(1, 17):
+            for moduli in abelian_types(order):
+                yield automorphism_group(AbelianGroup(moduli))
+                yield AbelianGroup(moduli).translation_group()
+    elif family == "extensions order <= 12":
+        for order in range(1, 13):
+            for moduli in abelian_types(order):
+                group = AbelianGroup(moduli)
+                for f in automorphism_permutations(group):
+                    yield from affine_extension(group, f)
+    else:
+        yield inner_group(bundled_order12())
+
+
+@pytest.mark.parametrize("family", ["affine m <= 31", "abelian order <= 16",
+                                    "extensions order <= 12", "bundled"])
+def test_conjugacy_classes_match_the_per_class_loop(family):
+    count = 0
+    for group in _differential_groups(family):
+        classes = conjugacy_classes(group)
+        reference = ConjugacyClassSet.from_least(_per_class_least(group), images=group.images)
+        for field in ("labels", "starts", "counts"):
+            assert np.array_equal(getattr(classes, field), getattr(reference, field)), (
+                family, group, field)
+        count += 1
+    assert count > 0
+
+
+def test_from_least_rejects_labels_that_are_not_least_indices():
+    for least in ([1, 1, 0], [0, 0, 1], [0, 2, 2], [1], [0, 1, 0, 2, 1, 4],
+                  [-1], [0, -1, 2], [0, 5]):
+        with pytest.raises(ValueError, match="^labels are not the least indices"):
+            Partition.from_least(np.array(least))
+    part = Partition.from_least(np.array([0, 1, 0, 1, 4, 0]))
+    assert part.starts.tolist() == [0, 1, 4]
+    assert part.labels.tolist() == [0, 1, 0, 1, 2, 0]
+    assert part.counts.tolist() == [3, 2, 1]
+
+
 def test_stabilizer_and_orbit_stabilizer():
     g = inner_group(affine_quandle(AffineSpec(13, 8)))
     st0 = stabilizer(g, 0)
@@ -471,8 +640,7 @@ def _stabilizer_double_cosets(quandle):
 
 
 def _extension_double_cosets():
-    group = AbelianGroup((2, 4))
-    return double_cosets(*affine_extension(group, automorphism_permutations(group)[-1]))
+    return double_cosets(*_extension_pair())
 
 
 def _partition_cases():
@@ -513,3 +681,6 @@ def test_partition_invariants(build):
         assert np.all(labels[list(block)] == index)
     with pytest.raises(TypeError):
         type(part)(labels, starts, counts)
+    rebuilt = Partition.from_least(starts[labels])
+    for field in ("labels", "starts", "counts"):
+        assert np.array_equal(getattr(rebuilt, field), getattr(part, field))
