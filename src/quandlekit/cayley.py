@@ -18,7 +18,7 @@ from math import gcd
 import numpy as np
 
 from .modular import multiplicative_order
-from .perms import Permutation, _memoised, close_group
+from .perms import Permutation, _greedy_generators, _memoised, close_group
 
 _AXIOM_NAMES = {
     1: "idempotence",
@@ -272,7 +272,8 @@ def coset_quandle(group, subgroup_generators, automorphism) -> CayleyQuandle:
         raise NotAutomorphism("map must be defined on exactly the group elements")
     if set(automorphism.values()) != elements:
         raise NotAutomorphism("map is not a bijection onto the group")
-    for g in group.generators:
+    generators = _greedy_generators(group, np.arange(len(group)))[0]
+    for g in map(Permutation._trusted, generators.tolist()):
         pg = automorphism[g]
         for x in group.elements:
             if automorphism[g * x] != pg * automorphism[x]:

@@ -16,8 +16,8 @@ that agreement.
 
 Neither double-coset function builds the |G| x |G| Cayley index table:
 products are formed from base images and located by key lookup (see
-perms), and only the ones needed.  double_cosets forms |K| |G| products
-on each side of a min-label pass.  is_gelfand_pair compares the
+perms), and only the ones needed: 2 |S| |G| in double_cosets, for S a
+generating set of K with |S| <= log2 |K|.  is_gelfand_pair compares the
 structure constants of the double-coset algebra, which fix each product
 of double-coset sums, at one representative per double coset: r |G|
 products for r double cosets (Ceccherini-Silberstein, Scarabotti and
@@ -42,6 +42,9 @@ from .perms import (
     PermutationGroup,
     _PRODUCT_CHUNK,
     _element_keys,
+    _greedy_generators,
+    _locate,
+    _orbit_labels,
 )
 from .tensor import TensorSquare, tensor_square
 
@@ -187,34 +190,20 @@ class DoubleCosetPartition(Partition):
 
 def double_cosets(group: PermutationGroup,
                   subgroup: PermutationGroup) -> DoubleCosetPartition:
-    """All K g K for K the given subgroup, by a two-sided min-label pass.
-
-    left_min[g], the least index of h g over h in K, is the least index in
-    the right coset K g; the least of left_min[g k] over k in K is then the
-    least index in K g K.  Only the 2 |K| |G| products this needs are formed,
-    from base images, in blocks of about _PRODUCT_CHUNK.  Ranking those
-    labels orders the cosets by least member.
-    """
-    if not group.contains_group(subgroup):
+    """All K g K for K the given subgroup: the orbits of K x K acting by
+    g -> h g k^-1, generated by g -> s g and g -> g s over a greedy
+    generating set S of K, |S| <= log2 |K|.  Each element is labelled by
+    the least index in its orbit from 2 |S| |G| products, and ranking the
+    labels orders the cosets by least member."""
+    members, found = _locate(group, subgroup.images)
+    if not found.all():
         raise NotASubgroup("second argument must be a subgroup of the first")
-    images = group.images
-    keys = _element_keys(group)
-    base = images[:, : keys.base_length]
-    sub_images = subgroup.images
-    sub_base = sub_images[:, : keys.base_length]
-    count = len(images)
-    step = max(1, _PRODUCT_CHUNK // len(sub_images))
-    left_min = np.empty(count, dtype=np.intp)
-    label = np.empty(count, dtype=np.intp)
-    for start in range(0, count, step):
-        block = slice(start, start + step)
-        # [h, g]: base images of h * g
-        left_min[block] = keys.lookup(sub_images[:, base[block]]).min(axis=0)
-    for start in range(0, count, step):
-        block = slice(start, start + step)
-        # [g, k]: base images of g * k
-        label[block] = left_min[keys.lookup(images[block][:, sub_base])].min(axis=1)
-    return DoubleCosetPartition.from_least(label, group=group, subgroup=subgroup)
+    images, keys = group.images, _element_keys(group)
+    rows, left = _greedy_generators(group, members)
+    # g -> g s from the base images of g * s
+    right = [keys.lookup(images[:, s[: keys.base_length]]) for s in rows]
+    least = _orbit_labels(np.vstack([left, *right], dtype=np.int32)).astype(np.intp)
+    return DoubleCosetPartition.from_least(least, group=group, subgroup=subgroup)
 
 
 def is_gelfand_pair(group: PermutationGroup,

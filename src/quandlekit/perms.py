@@ -10,8 +10,9 @@ Conjugacy classes here, the tensor square and the double cosets in
 gelfand are Partition subclasses: the block label of every element or
 pair index, and the least index (the representative) and size of every
 block; Partition.blocks builds the member tuples only when they are read.
-Conjugacy classes are the orbits of G acting on itself by conjugation, so
-conjugacy_classes conjugates by a greedy generating set S, |S| <= log2 |G|.
+Conjugacy classes and double cosets K g K are orbits, of G acting on itself
+by conjugation and of K x K by multiplication on both sides, so both are
+split by maps built from a greedy generating set S, |S| <= log2 |K|.
 
 close_group prunes redundant generators as in Dimino's algorithm (Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): a
@@ -275,7 +276,7 @@ def _dtype_for(degree: int):
 _KEY_LIMIT = 1 << 63
 
 # Products formed or located per step by close_group, the Cayley index
-# table and the double-coset passes; bounds the rows and keys held at once.
+# table and is_gelfand_pair; bounds the rows and keys held at once.
 _PRODUCT_CHUNK = 1 << 14
 
 
@@ -407,25 +408,41 @@ def _orbit_labels(maps: np.ndarray) -> np.ndarray:
             return label
 
 
+def _greedy_generators(group: PermutationGroup,
+                       members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Image rows of a greedy generating set S, read off the elements, of the
+    subgroup K with ascending element indices ``members``, and the int32
+    index maps x -> s x of G.  The least member outside <S> (the identity's
+    orbit under the maps) joins S, at least doubling it: |S| <= log2 |K|."""
+    E, keys = group.images, _element_keys(group)
+    base = E[:, : keys.base_length]
+    chosen, left, outside = [], np.empty((0, len(E)), dtype=np.int32), members[1:]
+    while outside.size:
+        chosen.append(outside[0])
+        left = np.vstack([left, keys.lookup(E[outside[0]][base])], dtype=np.int32)
+        outside = outside[_orbit_labels(left)[outside] != 0]
+    return E[chosen], left
+
+
 def orbits(group, domain=None) -> list[tuple[int, ...]]:
     """Partition of the domain into orbits, each sorted, ordered by least
     point.  ``group`` may be a PermutationGroup or an iterable of
     generating permutations."""
     if isinstance(group, PermutationGroup):
-        gens = group.generators or group.elements
-        degree = group.degree
+        maps = _greedy_generators(group, np.arange(len(group)))[0]
     else:
         gens = tuple(group)
         if not gens:
             raise ValueError("need at least one permutation")
-        degree = gens[0].degree
+        maps = np.array([g.images for g in gens], dtype=np.intp)
+    degree = maps.shape[1]
     if domain is None:
         seeds = range(degree)
     else:
         seeds = sorted(set(int(x) for x in domain))
         if seeds and (seeds[0] < 0 or seeds[-1] >= degree):
             raise ValueError("domain points out of range")
-    label = _orbit_labels(np.array([g.images for g in gens], dtype=np.intp))
+    label = _orbit_labels(maps)
     allowed = set(seeds)
     out = []
     # by least seed, which is the least point of an orbit inside the domain
@@ -501,22 +518,15 @@ class ConjugacyClassSet(Partition):
 @_memoised
 def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
     """Conjugacy classes as the orbits of conjugation by a greedy generating
-    set S, each labelled by its least index (_orbit_labels); memoised on the
-    group.  The least index outside <S> joins S, and <S> is the orbit of the
-    identity under x -> s x, so each new s at least doubles <S>: |S| <=
-    log2 |G|, and the split costs 2|S| key lookups.  S is read off the
-    element list, never ``group.generators``.  The set holds the image
-    array, not the group: no cycle."""
+    set S of G, each labelled by its least index (_orbit_labels), from 2|S|
+    key lookups; memoised on the group.  The set holds the image array,
+    not the group: no cycle."""
     E, keys = group.images, _element_keys(group)
-    left = conjugation = np.empty((0, len(E)), dtype=np.int32)
-    span = np.arange(len(E)) == 0
-    while not span.all():
-        s = E[np.argmin(span)]
-        inverse = np.argsort(s)[: keys.base_length]
-        # x -> s x and x -> s x s^-1 as indices from base images; int32 halves them
-        left = np.vstack([left, keys.lookup(s[E[:, : keys.base_length]])], dtype=np.int32)
-        conjugation = np.vstack([conjugation, keys.lookup(s[E[:, inverse]])], dtype=np.int32)
-        span = _orbit_labels(left) == 0
+    rows = _greedy_generators(group, np.arange(len(E)))[0]
+    # x -> s x s^-1 as indices from base images; int32 halves them
+    conjugation = np.empty((len(rows), len(E)), dtype=np.int32)
+    for s, row in zip(rows, conjugation):
+        row[:] = keys.lookup(s[E[:, np.argsort(s)[: keys.base_length]]])
     return ConjugacyClassSet.from_least(_orbit_labels(conjugation).astype(np.intp), images=E)
 
 

@@ -1,9 +1,11 @@
 """Shared helpers for the suite: spec enumeration, a plain reference for
 tensor classes and small fixtures."""
 
+import itertools
+
 import pytest
 
-from quandlekit.cayley import AffineSpec
+from quandlekit.cayley import AffineSpec, validate_quandle
 from quandlekit.modular import is_prime, units
 from quandlekit.tables import bundled_order12
 
@@ -46,6 +48,19 @@ def reference_tensor_classes(q):
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     return tuple(classes)
+
+
+def transposition_quandle(degree):
+    """The transpositions of S_degree, as pairs a < b in lex order, with
+    x > y = y x y: conjugating (a b) by y gives (y(a) y(b))."""
+    points = list(itertools.combinations(range(degree), 2))
+    index = {point: i for i, point in enumerate(points)}
+
+    def conjugate(x, y):
+        swap = {y[0]: y[1], y[1]: y[0]}
+        return index[tuple(sorted(swap.get(v, v) for v in x))]
+
+    return validate_quandle([[conjugate(x, y) for y in points] for x in points])
 
 
 @pytest.fixture(scope="session")

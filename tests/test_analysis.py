@@ -1,6 +1,9 @@
 """The analysis pipeline, isomorphism search, and affine recognition."""
 
 import json
+import time
+
+import pytest
 
 from quandlekit import (
     AffineSpec,
@@ -11,6 +14,7 @@ from quandlekit import (
     recognize_affine,
     trivial_quandle,
 )
+from conftest import transposition_quandle
 
 
 def _relabel(q, sigma):
@@ -166,3 +170,24 @@ def test_report_dict_is_json_stable():
     assert payload["schema"] == 1
     assert payload["tensor_representatives"] == [[0, 0], [0, 1], [0, 2], [0, 4], [0, 7]]
 
+
+def test_analyze_transposition_class_of_s8():
+    """Order 28, with Inn = S8 of order 40320 and a stabilizer of order
+    1440: analyze finishes in under a second, where a two-sided pass over
+    the double cosets formed 2 |K| |G|, about 1.2e8, products."""
+    quandle = transposition_quandle(8)
+    start = time.perf_counter()
+    report = analyze(quandle)
+    elapsed = time.perf_counter() - start
+    assert (report.inner_order, report.stabilizer_order, report.rank) == (40320, 1440, 3)
+    assert report.multiplicity_free is True
+    assert report.gelfand_pair is True
+    assert elapsed < 1.0, elapsed
+    combinatorics = pytest.importorskip("sympy.combinatorics")
+    inner = combinatorics.PermutationGroup([
+        combinatorics.Permutation([quandle.op(x, y) for x in range(quandle.order)])
+        for y in range(quandle.order)
+    ])
+    point_stabilizer = inner.stabilizer(0)
+    assert (inner.order(), point_stabilizer.order(), len(point_stabilizer.orbits())) == (
+        40320, 1440, 3)

@@ -18,6 +18,7 @@ from quandlekit import (
     NotAutomorphism,
     NotCentralized,
     Permutation,
+    PermutationGroup,
     AbelianGroup,
     abelian_affine_quandle,
     affine_quandle,
@@ -215,6 +216,21 @@ def test_coset_quandle_rejects_non_homomorphism():
     bad[a], bad[b] = bad[b], bad[a]
     with pytest.raises(NotAutomorphism):
         coset_quandle(group, [], bad)
+
+
+def test_coset_quandle_checks_multiplicativity_off_the_stored_generators():
+    """S4 built with the identity as its only stored generator is checked
+    as the closed S4 is: swapping two non-identity elements is no
+    automorphism."""
+    s4 = close_group([Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+                      Permutation.from_cycles(4, [(0, 1)])])
+    listed = PermutationGroup(4, [Permutation.identity(4)], s4.images)
+    a, b = s4.elements[1], s4.elements[2]
+    swap = {g: g for g in s4.elements}
+    swap[a], swap[b] = b, a
+    for group in (s4, listed):
+        with pytest.raises(NotAutomorphism, match="^not multiplicative"):
+            coset_quandle(group, [], swap)
 
 
 def test_coset_quandle_rejects_partial_map():

@@ -32,8 +32,9 @@ from quandlekit import (
     trivial_quandle,
     validate_quandle,
 )
-from quandlekit.perms import conjugacy_classes
-from conftest import connected_affine_specs, reference_tensor_classes
+from quandlekit.gelfand import DoubleCosetPartition
+from quandlekit.perms import _PRODUCT_CHUNK, _ElementKeys, _element_keys, conjugacy_classes
+from conftest import connected_affine_specs, reference_tensor_classes, transposition_quandle
 
 
 def test_orbital_matrices_partition_all_ones():
@@ -357,6 +358,67 @@ def test_double_cosets_and_gelfand_match_reference(order12):
     # order-12 pair at each of its points
     assert pairs == 309
     assert negatives == 15
+
+
+def _two_sided_least(group, subgroup):
+    """A frozen copy of the two-sided min-label pass: left_min[g], the least
+    index of h g over h in K, is the least in the right coset K g, and the
+    least of left_min[g k] over k in K is the least in K g K; 2 |K| |G|
+    products from base images, in blocks."""
+    images = group.images
+    keys = _element_keys(group)
+    base = images[:, : keys.base_length]
+    sub_images = subgroup.images
+    sub_base = sub_images[:, : keys.base_length]
+    count = len(images)
+    step = max(1, _PRODUCT_CHUNK // len(sub_images))
+    left_min = np.empty(count, dtype=np.intp)
+    label = np.empty(count, dtype=np.intp)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        left_min[block] = keys.lookup(sub_images[:, base[block]]).min(axis=0)
+    for start in range(0, count, step):
+        block = slice(start, start + step)
+        label[block] = left_min[keys.lookup(images[block][:, sub_base])].min(axis=1)
+    return label
+
+
+def _stabilizer_pairs(max_order):
+    for spec in connected_affine_specs(max_order):
+        group = inner_group(affine_quandle(spec))
+        yield group, stabilizer(group, 0)
+
+
+@pytest.mark.parametrize("family", ["affine m <= 47", "differential pairs"])
+def test_double_cosets_match_the_two_sided_pass(family, order12):
+    pairs = _stabilizer_pairs(47) if family == "affine m <= 47" else _differential_pairs(order12)
+    count = 0
+    for group, sub in pairs:
+        part = double_cosets(group, sub)
+        reference = DoubleCosetPartition.from_least(_two_sided_least(group, sub),
+                                                    group=group, subgroup=sub)
+        for field in ("labels", "starts", "counts"):
+            got, want = getattr(part, field), getattr(reference, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (group, sub, field)
+        count += 1
+    assert count == (377 if family == "affine m <= 47" else 309)
+
+
+def test_double_cosets_look_up_at_most_two_key_sets_per_doubling(monkeypatch):
+    """The maps g -> s g and g -> g s over a greedy generating set S of K,
+    |S| <= floor(log2 |K|), take 2 |S| lookups of |G| rows, where the
+    two-sided pass took 2 |K| |G|."""
+    rows = []
+    lookup = _ElementKeys.lookup
+    monkeypatch.setattr(_ElementKeys, "lookup",
+                        lambda keys, base: rows.append(base[..., 0].size) or lookup(keys, base))
+    for quandle in (affine_quandle(AffineSpec(47, 5)), transposition_quandle(6)):
+        group = inner_group(quandle)
+        sub = stabilizer(group, 0)
+        rows.clear()
+        part = double_cosets(group, sub)
+        assert sum(rows) <= 2 * (len(sub).bit_length() - 1) * len(group), (len(group), len(sub))
+        assert len(part) == (2 if quandle.order == 47 else 3)
 
 
 def test_double_coset_test_memory():

@@ -19,7 +19,6 @@ from quandlekit.cayley import (
     affine_quandle,
     right_translation,
     trivial_quandle,
-    validate_quandle,
 )
 from quandlekit.gelfand import double_cosets
 from quandlekit.inner import inner_generators, inner_group
@@ -43,6 +42,7 @@ from quandlekit.perms import (
 from quandlekit.tables import bundled_order12
 from quandlekit.tensor import tensor_square
 from quandlekit.perms import _PRODUCT_CHUNK, _element_keys, _ElementKeys, _orbit_labels
+from conftest import transposition_quandle
 
 
 def _indexing_cases():
@@ -167,14 +167,7 @@ def test_close_group_cap_is_checked_per_block():
     """The transpositions of S_9 under conjugation form a quandle of order
     36 whose inner group is S_9; the closure stops within one block of
     products past the cap, not at the end of a breadth-first layer."""
-    points = list(itertools.combinations(range(9), 2))
-    index = {pair: k for k, pair in enumerate(points)}
-
-    def conjugate(x, y):
-        swap = {y[0]: y[1], y[1]: y[0]}
-        return index[tuple(sorted(swap.get(v, v) for v in x))]
-
-    quandle = validate_quandle([[conjugate(x, y) for y in points] for x in points])
+    quandle = transposition_quandle(9)
     message = r"^closure reached (\d+) elements, past the cap of 20000$"
     with pytest.raises(GroupTooLarge, match=message) as exc:
         close_group(inner_generators(quandle), cap=20_000)
@@ -280,6 +273,14 @@ def test_orbits_basics():
 
     with pytest.raises(ValueError):
         orbits([Permutation((1, 0, 2))], domain=[0])
+
+
+def test_orbits_of_a_group_ignore_its_stored_generators():
+    """A directly built group need not list generators that generate it;
+    orbits reads a generating set off the elements."""
+    s4 = _symmetric_group(4)
+    listed = PermutationGroup(4, [Permutation.identity(4)], s4.images)
+    assert orbits(listed) == orbits(s4) == [(0, 1, 2, 3)]
 
 
 def _reference_orbits(gens, seeds):
