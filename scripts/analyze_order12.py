@@ -19,7 +19,6 @@ from quandlekit import (
     is_gelfand_pair,
     is_latin,
     is_multiplicity_free,
-    orbital_matrices,
     stabilizer,
     tau_quotient,
     tensor_square,
@@ -47,10 +46,10 @@ def main():
     print(f"multiplicity free: {verdict.value}")
     if verdict.witness is not None:
         print(f"  {verdict.witness.describe()}")
-        mats = orbital_matrices(q).matrices
+        # the support of orbital matrix a is the size of tensor class a
         a, b = verdict.witness.first, verdict.witness.second
-        print(f"  matrix {a} support {int(mats[a].sum())} pairs, "
-              f"matrix {b} support {int(mats[b].sum())} pairs")
+        print(f"  matrix {a} support {square.sizes[a]} pairs, "
+              f"matrix {b} support {square.sizes[b]} pairs")
 
     part = double_cosets(group, stab)
     print(f"double cosets: {len(part)} with sizes {part.counts.tolist()}")

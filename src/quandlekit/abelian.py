@@ -13,7 +13,7 @@ abelian groups", Amer. Math. Monthly, 2007, give |Aut(A)| in closed form).
 Both the enumeration and the extension work on the n x n addition table
 of element-list indices.  The enumeration wraps finished image rows as
 permutations without re-checking them; the extension and the translation
-group hand their rows to PermutationGroup as one array.  The table and the
+group are built from their image arrays alone.  The table and the
 automorphisms are memoised on the AbelianGroup (perms._memoised), so
 automorphism_group and every extension of one group reuse them.
 """
@@ -122,18 +122,7 @@ class AbelianGroup:
     def translation_group(self) -> PermutationGroup:
         """The regular action of the group on itself, fully enumerated: row
         e of the addition table is the translation by e."""
-        table = _addition_table(self)
-        rows = table.tolist()
-        gens = [rows[self.index(e)] for e in self._standard_generators()] or rows
-        return PermutationGroup(self.order, map(Permutation._trusted, gens), table)
-
-    def _standard_generators(self) -> list[tuple[int, ...]]:
-        gens = []
-        for pos, m in enumerate(self.moduli):
-            if m == 1:
-                continue
-            gens.append(tuple(1 if i == pos else 0 for i in range(len(self.moduli))))
-        return gens
+        return PermutationGroup(_addition_table(self))
 
 
 def _radix_weights(moduli: np.ndarray) -> np.ndarray:
@@ -253,11 +242,5 @@ def affine_extension(
         powers.append(current)
         current = current[f]
     powers = np.array(powers)
-
-    translations = add_table[[group.index(g) for g in group._standard_generators()]]
-    gens = [Permutation._trusted(row) for row in translations.tolist()]
-    gens.append(automorphism)
     # member (a, i) is y -> a + f^i(y)
-    big = PermutationGroup(count, gens, add_table[:, powers].reshape(-1, count))
-    small = PermutationGroup(count, [automorphism], powers)
-    return big, small
+    return PermutationGroup(add_table[:, powers].reshape(-1, count)), PermutationGroup(powers)

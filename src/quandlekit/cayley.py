@@ -263,8 +263,9 @@ def coset_quandle(group, subgroup_generators, automorphism) -> CayleyQuandle:
     """Quandle on the right cosets Hx of a permutation group G.
 
     ``automorphism`` maps every element of G to its image (a dict); it must
-    be a bijective homomorphism fixing the subgroup H generated by
-    ``subgroup_generators`` pointwise.  The operation is
+    be a bijective homomorphism, checked on generators read off G's image
+    array, fixing the subgroup H generated by ``subgroup_generators``
+    pointwise.  The operation is
     Hx > Hy = H phi(x y^-1) y.  Cosets are indexed by their least member.
     """
     elements = set(group.elements)

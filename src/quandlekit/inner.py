@@ -44,9 +44,9 @@ def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
 
 @_memoised
 def inner_group(q: CayleyQuandle) -> PermutationGroup:
-    """The group generated by the right translations, closed from and
-    listing as generators R_0..R_{k-1}, k the generating prefix; memoised
-    on q."""
+    """The group generated by the right translations, closed from
+    R_0..R_{k-1}, k the generating prefix, and kept as its image array
+    alone; memoised on q."""
     return close_group(map(Permutation._trusted, q._array.T[: q._prefix].tolist()))
 
 

@@ -1,10 +1,11 @@
 """Permutations of {0..n-1} and fully enumerated permutation groups.
 
 Products compose like functions: (a * b)(x) = a(b(x)), so the right factor
-acts first.  A group is stored as the lexsorted array of its elements'
-image rows, which keeps every derived object (orbits, conjugacy classes,
-cosets) reproducible across runs; Permutation objects for its elements
-are built from that array on first read.
+acts first.  A group is the lexsorted array of its elements' image rows
+and nothing else: its degree is the array's width, it keeps no generators,
+and every derived object (orbits, conjugacy classes, cosets) is read off
+the array, so it is reproducible across runs.  Permutation objects for
+its elements are built from that array on first read.
 
 Conjugacy classes here, the tensor square and the double cosets in
 gelfand are Partition subclasses: the block label of every element or
@@ -188,23 +189,22 @@ def fixed_points(perm: Permutation) -> int:
 class PermutationGroup:
     """A finite permutation group held as ``images``, the read-only
     lexsorted (order, degree) array of its elements' image rows, indexed by
-    _ElementKeys; ``elements`` wraps the rows as Permutation objects on
-    first read.  Keys, classes and the Cayley index table are memoised on
-    the group (_memoised).
+    _ElementKeys; the array is the group, and ``elements`` wraps its rows
+    as Permutation objects on first read.  Keys, classes and the Cayley
+    index table are memoised on the group (_memoised).
 
     Constructing one directly trusts that the image rows, given in any
     order, are closed; use close_group to enumerate from generators.
     """
 
-    def __init__(self, degree, generators, images):
-        self.degree = int(degree)
-        self.generators = tuple(generators)
-        images = np.asarray(images, dtype=_dtype_for(self.degree))
-        if images.ndim != 2 or images.shape[1] != self.degree:
-            raise ValueError(f"image rows must have the group's degree {self.degree}")
-        images = images[np.lexsort(images.T[::-1])]
+    def __init__(self, images):
+        images = np.asarray(images)
+        if images.ndim != 2:
+            raise ValueError("image rows must form a 2-D array")
+        degree = images.shape[1]
+        images = images.astype(_dtype_for(degree), copy=False)[np.lexsort(images.T[::-1])]
         # the identity is the least permutation in lex order
-        if not len(images) or np.any(images[0] != np.arange(self.degree)):
+        if not len(images) or np.any(images[0] != np.arange(degree)):
             raise ValueError("identity missing")
         if np.any(np.all(images[1:] == images[:-1], axis=1)):
             raise ValueError("duplicate elements")
@@ -224,13 +224,17 @@ class PermutationGroup:
             raise ValueError(f"elements of mixed degrees {degrees}")
         rows = np.array([p.images for p in elements], dtype=_dtype_for(degree))
         rank = np.lexsort(rows.T[::-1])
-        group = cls(degree, elements, rows[rank])
+        group = cls(rows[rank])
         group.elements = tuple(elements[i] for i in rank.tolist())
         return group
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:
         return tuple(map(Permutation._trusted, self.images.tolist()))
+
+    @property
+    def degree(self) -> int:
+        return self.images.shape[1]
 
     @property
     def order(self) -> int:
@@ -350,8 +354,8 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
     Generators are taken in the order given.  One that already lies in the
     closure built so far is skipped; when one is kept, the closure is run
     again from every element seen so far under all kept generators.  The
-    returned group still lists every generator passed in.  The first block
-    of at most _PRODUCT_CHUNK products that passes ``cap`` raises GroupTooLarge."""
+    returned group keeps none of them.  The first block of at most
+    _PRODUCT_CHUNK products that passes ``cap`` raises GroupTooLarge."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -385,7 +389,7 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
                     f"closure reached {len(seen)} elements, past the cap of {cap}"
                 )
     E = np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree)
-    return PermutationGroup(degree, gens, E)
+    return PermutationGroup(E)
 
 
 def _orbit_labels(maps: np.ndarray) -> np.ndarray:
@@ -531,11 +535,11 @@ def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
 
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
-    """Point stabilizer, returned with its members as generators."""
+    """Point stabilizer: the rows of the group's image array that fix the
+    point, with no Permutation built."""
     if not 0 <= point < group.degree:
         raise ValueError("point out of range")
-    rows = group.images[group.images[:, point] == point]
-    return PermutationGroup(group.degree, map(Permutation._trusted, rows.tolist()), rows)
+    return PermutationGroup(group.images[group.images[:, point] == point])
 
 
 @_memoised

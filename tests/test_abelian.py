@@ -254,7 +254,6 @@ def test_affine_extension_matches_tuple_reference():
         for moduli in abelian_types(order):
             group = AbelianGroup(moduli)
             elements = group.elements
-            translations = [group.translation(g) for g in group._standard_generators()]
             for f in automorphism_permutations(group):
                 powers = [tuple(range(group.order))]
                 while True:
@@ -269,9 +268,7 @@ def test_affine_extension_matches_tuple_reference():
                 )
                 big, small = affine_extension(group, f)
                 assert [p.images for p in big.elements] == members
-                assert big.generators == tuple(translations) + (f,)
                 assert [p.images for p in small.elements] == sorted(powers)
-                assert small.generators == (f,)
 
 
 def test_automorphism_enumeration_memory():

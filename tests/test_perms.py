@@ -46,27 +46,27 @@ from conftest import transposition_quandle
 
 
 def _indexing_cases():
-    """(name, group, base length) for each shape of the prefix base; the
-    keys of (Z_2)^9 on 18 points would overflow int64 and are compressed."""
+    """(name, group, base length, generators) for each shape of the prefix
+    base; the keys of (Z_2)^9 on 18 points would overflow int64 and are
+    compressed."""
+    affine = affine_quandle(AffineSpec(13, 8))
+    cases = [
+        ("trivial", [Permutation.identity(4)], 0),
+        ("cyclic", [Permutation.from_cycles(7, [tuple(range(7))])], 1),
+        ("affine", inner_generators(affine), 2),
+        ("S4", [Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))], 3),
+        ("(Z2)^9", [Permutation.from_cycles(18, [(2 * i, 2 * i + 1)]) for i in range(9)], 17),
+    ]
     return [
-        ("trivial", close_group([Permutation.identity(4)]), 0),
-        ("cyclic", close_group([Permutation.from_cycles(7, [tuple(range(7))])]), 1),
-        ("affine", inner_group(affine_quandle(AffineSpec(13, 8))), 2),
-        ("S4", close_group([Permutation((1, 0, 2, 3)), Permutation((1, 2, 3, 0))]), 3),
-        (
-            "(Z2)^9",
-            close_group(
-                [Permutation.from_cycles(18, [(2 * i, 2 * i + 1)]) for i in range(9)]
-            ),
-            17,
-        ),
+        (name, inner_group(affine) if name == "affine" else close_group(gens), base, gens)
+        for name, gens, base in cases
     ]
 
 
-def _reference_classes(group):
+def _reference_classes(group, generators):
     """Conjugacy classes by plain Permutation products: each class is the
     closure of one element under conjugation by the generators."""
-    gens = [(g, g.inverse()) for g in group.generators]
+    gens = [(g, g.inverse()) for g in generators]
     seen = set()
     classes = []
     for x in group.elements:
@@ -219,7 +219,6 @@ def _padded_generator_lists():
 def test_close_group_matches_plain_closure(gens):
     group = close_group(gens)
     assert [p.images for p in group.elements] == _reference_closure(gens)
-    assert group.generators == tuple(gens)
     assert group.images.tolist() == [list(p.images) for p in group.elements]
 
 
@@ -242,7 +241,6 @@ def test_close_group_matches_plain_closure_on_random_generators(gens, data):
         gens.insert(data.draw(st.integers(0, len(gens))), Permutation.identity(gens[0].degree))
     group = close_group(gens)
     assert [p.images for p in group.elements] == _reference_closure(gens)
-    assert group.generators == tuple(gens)
 
 
 @settings(max_examples=60, deadline=None)
@@ -275,12 +273,12 @@ def test_orbits_basics():
         orbits([Permutation((1, 0, 2))], domain=[0])
 
 
-def test_orbits_of_a_group_ignore_its_stored_generators():
-    """A directly built group need not list generators that generate it;
+def test_orbits_of_a_group_built_from_its_images():
+    """A group built from its image array alone has no generators to read;
     orbits reads a generating set off the elements."""
     s4 = _symmetric_group(4)
-    listed = PermutationGroup(4, [Permutation.identity(4)], s4.images)
-    assert orbits(listed) == orbits(s4) == [(0, 1, 2, 3)]
+    built = PermutationGroup(s4.images)
+    assert orbits(built) == orbits(s4) == [(0, 1, 2, 3)]
 
 
 def _reference_orbits(gens, seeds):
@@ -348,8 +346,8 @@ def test_conjugacy_classes_examples():
     s3 = inner_group(affine_quandle(AffineSpec(3, 2)))
     assert sorted(conjugacy_classes(s3).sizes) == [1, 2, 3]
 
-    for name, group, _ in _indexing_cases():
-        assert conjugacy_classes(group).classes == _reference_classes(group), name
+    for name, group, _, gens in _indexing_cases():
+        assert conjugacy_classes(group).classes == _reference_classes(group, gens), name
 
 
 def test_class_equation_and_divisibility():
@@ -364,29 +362,43 @@ def test_class_equation_and_divisibility():
         assert tuple(rebuilt) == g.elements
 
 
+def _symmetric_generators(n):
+    return [Permutation.from_cycles(n, [tuple(range(n))]), Permutation.from_cycles(n, [(0, 1)])]
+
+
 def _symmetric_group(n):
-    return close_group([Permutation.from_cycles(n, [tuple(range(n))]),
-                        Permutation.from_cycles(n, [(0, 1)])])
+    return close_group(_symmetric_generators(n))
+
+
+def _automorphism_case(moduli):
+    group = AbelianGroup(moduli)
+    return automorphism_group(group), automorphism_permutations(group)
+
+
+def _inner_case(spec):
+    quandle = affine_quandle(spec)
+    return inner_group(quandle), inner_generators(quandle)
 
 
 def _sympy_cases():
+    """name -> builder of (group, generators of the group)."""
     return {
-        "S5": lambda: _symmetric_group(5),
-        "S6": lambda: _symmetric_group(6),
-        "S7": lambda: _symmetric_group(7),
-        "Aut(2,2,2)": lambda: automorphism_group(AbelianGroup((2, 2, 2))),
-        "Aut(4,4)": lambda: automorphism_group(AbelianGroup((4, 4))),
-        "Inn(47,5)": lambda: inner_group(affine_quandle(AffineSpec(47, 5))),
-        "Inn(21,11)": lambda: inner_group(affine_quandle(AffineSpec(21, 11))),
+        "S5": lambda: (_symmetric_group(5), _symmetric_generators(5)),
+        "S6": lambda: (_symmetric_group(6), _symmetric_generators(6)),
+        "S7": lambda: (_symmetric_group(7), _symmetric_generators(7)),
+        "Aut(2,2,2)": lambda: _automorphism_case((2, 2, 2)),
+        "Aut(4,4)": lambda: _automorphism_case((4, 4)),
+        "Inn(47,5)": lambda: _inner_case(AffineSpec(47, 5)),
+        "Inn(21,11)": lambda: _inner_case(AffineSpec(21, 11)),
     }
 
 
 @pytest.mark.parametrize("name", list(_sympy_cases()))
 def test_conjugacy_classes_match_sympy(name):
     combinatorics = pytest.importorskip("sympy.combinatorics")
-    group = _sympy_cases()[name]()
+    group, gens = _sympy_cases()[name]()
     reference = combinatorics.PermutationGroup(
-        [combinatorics.Permutation(list(g.images)) for g in group.generators]
+        [combinatorics.Permutation(list(g.images)) for g in gens]
     ).conjugacy_classes()
     classes = conjugacy_classes(group).classes
     assert sorted(map(len, classes)) == sorted(map(len, reference))
@@ -413,8 +425,7 @@ def _definition_classes(group):
 def _small_groups():
     """(name, group) of order at most 200: inner groups of affine quandles,
     automorphism and extension groups of small abelian groups, S4 and S5,
-    the bundled inner group, and S4 listed with the identity as its only
-    stored generator."""
+    the bundled inner group, and S4 built from its image array alone."""
     cases = [(f"Inn({m},{t})", inner_group(affine_quandle(AffineSpec(m, t))))
              for m in range(1, 32) for t in units(m)]
     for moduli in [(2, 2), (2, 4), (3, 3), (2, 2, 2)]:
@@ -424,14 +435,13 @@ def _small_groups():
     cases.append(("S5", _symmetric_group(5)))
     cases.append(("bundled", inner_group(bundled_order12())))
     s4 = _symmetric_group(4).images
-    cases.append(("S4, identity generator",
-                  PermutationGroup(4, [Permutation.identity(4)], s4)))
+    cases.append(("S4, from its images", PermutationGroup(s4)))
     return [(name, group) for name, group in cases if len(group) <= 200]
 
 
 def test_conjugacy_classes_match_the_definition():
     cases = _small_groups()
-    assert len(cases) > 200 and "S4, identity generator" in dict(cases)
+    assert len(cases) > 200 and "S4, from its images" in dict(cases)
     for name, group in cases:
         assert conjugacy_classes(group).classes == _definition_classes(group), name
 
@@ -450,7 +460,7 @@ def test_class_split_looks_up_at_most_two_key_sets_per_doubling(monkeypatch):
         automorphism_group(AbelianGroup((2, 2, 2, 2))),
     ]
     for group in groups:
-        fresh = PermutationGroup(group.degree, group.generators, group.images)
+        fresh = PermutationGroup(group.images)
         calls.clear()
         classes = conjugacy_classes(fresh)
         assert 0 < len(calls) <= 2 * (len(group).bit_length() - 1), len(group)
@@ -547,7 +557,7 @@ def test_cayley_index_table_is_multiplication():
             assert g.elements[table[i, j]] == a * b
 
     rng = random.Random(0)
-    for name, group, base_length in _indexing_cases():
+    for name, group, base_length, _ in _indexing_cases():
         keys = _element_keys(group)
         assert keys.base_length == base_length, name
         assert bool(keys.folds) == (name == "(Z2)^9"), name
@@ -575,6 +585,29 @@ def test_group_requires_identity_and_rejects_duplicates():
         PermutationGroup.from_elements(
             [Permutation.identity(2), Permutation.identity(2)]
         )
+    rows = np.array([[1, 2, 0], [0, 1, 2], [2, 0, 1]])
+    for bad in (rows[1], rows[[0, 2]], rows[[1, 0, 1]]):
+        with pytest.raises(ValueError):
+            PermutationGroup(bad)
+    group = PermutationGroup(rows)
+    assert group.degree == rows.shape[1] == 3
+    assert group.images.tolist() == sorted(rows.tolist())
+
+
+def test_stabilizer_builds_no_permutation(monkeypatch):
+    group = inner_group(affine_quandle(AffineSpec(47, 5)))
+    built = 0
+    trusted = Permutation._trusted.__func__
+
+    def counted(cls, images):
+        nonlocal built
+        built += 1
+        return trusted(cls, images)
+
+    monkeypatch.setattr(Permutation, "_trusted", classmethod(counted))
+    stab = stabilizer(group, 0)
+    assert built == 0
+    assert len(stab) == 46 and not stab.images[:, 0].any()
 
 
 def test_group_rejects_mixed_degrees():
@@ -603,7 +636,7 @@ def _membership_probes(group, base_length, rng):
 
 def test_membership_matches_plain_index():
     rng = random.Random(1)
-    for name, group, base_length in _indexing_cases():
+    for name, group, base_length, _ in _indexing_cases():
         reference = {p.images: i for i, p in enumerate(group.elements)}
         probes = _membership_probes(group, base_length, rng)
         assert any(p.images not in reference for p in probes) == (name != "S4"), name

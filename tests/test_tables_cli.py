@@ -384,6 +384,33 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         assert main(shlex.split(line)[1:]) == 0, line
 
 
+def test_readme_library_block_runs_with_the_values_it_shows():
+    """Each statement of the README's "Library" python block runs in turn;
+    an expression whose trailing ``# comment`` is a Python literal must
+    evaluate to it."""
+    import ast
+    from pathlib import Path
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    lines = block.splitlines()
+    namespace = {}
+    checked = 0
+    for stmt in ast.parse(block).body:
+        source = ast.get_source_segment(block, stmt)
+        comment = lines[stmt.end_lineno - 1].partition("#")[2].strip()
+        try:
+            shown = ast.literal_eval(comment)
+        except (SyntaxError, ValueError):
+            exec(source, namespace)
+            continue
+        assert isinstance(stmt, ast.Expr), source
+        assert eval(source, namespace) == shown, source
+        checked += 1
+    assert checked >= 3, block
+
+
 EMPTY_DIGEST = hashlib.sha256(b"").hexdigest()
 
 
