@@ -2,14 +2,17 @@
 inner-group data, tensor classes, multiplicity-freeness, the Gelfand-pair
 verdict, and (for prime affine inputs) the module decomposition.
 
-Also houses a small exact isomorphism search used to recognize affine
-quandles among user-supplied tables of modest order.
+Also houses a small exact isomorphism search, used to recognize affine
+quandles among tables of order at most RECOGNITION_CAP: one search with
+0 pinned to 0 per Aff(Z_m, t) whose closed-form element signature is the
+table's (recognize_affine says why both cuts are exact).
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass
+from math import gcd
 
 from . import __version__
 from .cayley import AffineSpec, CayleyQuandle, affine_quandle, is_latin, right_translation
@@ -17,7 +20,7 @@ from .characters import BadParameters, burnside_rank, decompose_prime_affine
 from .gelfand import is_gelfand_pair, is_multiplicity_free
 from .inner import inner_group, is_connected
 from .modular import units
-from .perms import cycle_structure, stabilizer
+from .perms import Permutation, cycle_structure, stabilizer
 from .tensor import tau_quotient, tensor_square
 
 RECOGNITION_CAP = 13
@@ -36,17 +39,25 @@ def _element_signature(quandle: CayleyQuandle, x: int):
 
 def quandles_isomorphic(first: CayleyQuandle,
                         second: CayleyQuandle) -> tuple[int, ...] | None:
-    """Image tuple of an isomorphism from first to second, or None.
+    """Image tuple of an isomorphism from first to second, or None."""
+    n = first.order
+    if second.order != n:
+        return None
+    sig_first = [_element_signature(first, x) for x in range(n)]
+    sig_second = [_element_signature(second, x) for x in range(n)]
+    return _isomorphism(first, second, sig_first, sig_second, ())
+
+
+def _isomorphism(first, second, sig_first, sig_second, forced):
+    """Image tuple of an isomorphism from first to second that maps a to b
+    for every (a, b) in forced, or None; the two quandles have one order
+    and sig_first, sig_second list their element signatures.
 
     Backtracking over images with forward propagation: every assigned pair
     (a, b) forces sigma(a ? b) for both operand orders, so contradictions
     surface long before the map is total.
     """
     n = first.order
-    if second.order != n:
-        return None
-    sig_first = [_element_signature(first, x) for x in range(n)]
-    sig_second = [_element_signature(second, x) for x in range(n)]
     candidates = [
         [y for y in range(n) if sig_second[y] == sig_first[x]] for x in range(n)
     ]
@@ -103,22 +114,42 @@ def quandles_isomorphic(first: CayleyQuandle,
 
     sigma = [-1] * n
     used = [False] * n
-    if search(sigma, used):
+    if all(propagate(sigma, used, a, b) for a, b in forced) and search(sigma, used):
         return tuple(sigma)
     return None
 
 
 def recognize_affine(quandle: CayleyQuandle,
                      cap: int = RECOGNITION_CAP) -> AffineSpec | None:
-    """Search all affine quandles of the same order for an isomorphic
-    table.  Returns the first matching spec in multiplier order, or None.
-    Orders above the cap are not searched (the caller reports 'unknown')."""
+    """The first spec in multiplier order whose quandle is isomorphic to
+    this one, or None.  Orders above the cap are not searched (analyze
+    reports 'not-checked').
+
+    Every translation x -> x + b is an automorphism of Aff(Z_m, t), so all
+    its elements share one signature: the cycle type of x -> t x, with
+    every fiber of a row of size gcd(1 - t, m).  Signatures are
+    isomorphism invariants, so a table with two signatures is no affine
+    quandle, and a multiplier of another signature cannot match.  An
+    isomorphism followed by the translation by -sigma(0) fixes 0, so each
+    multiplier left costs one search with sigma(0) = 0 forced: four on a
+    relabelled Aff(Z_13, 11), one per unit of order 12, not twelve.
+    """
     m = quandle.order
     if m > cap:
         return None
+    signatures = [_element_signature(quandle, x) for x in range(m)]
+    signature = signatures[0]
+    if signatures.count(signature) != m:
+        return None
     for t in units(m):
+        d = gcd(1 - t, m)
+        times_t = Permutation._trusted([t * x % m for x in range(m)])
+        if (cycle_structure(times_t), (d,) * (m // d)) != signature:
+            continue
         spec = AffineSpec(m, t)
-        if quandles_isomorphic(quandle, affine_quandle(spec)) is not None:
+        # every element of the target has the input's one signature
+        if _isomorphism(quandle, affine_quandle(spec), signatures, signatures,
+                        ((0, 0),)) is not None:
             return spec
     return None
 

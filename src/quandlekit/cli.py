@@ -311,9 +311,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _unrecognized(argv: list[str], extras: list[str], path: str | None) -> list[str]:
+    """The unknown arguments as given.  argparse hands the word after an
+    unknown flag to the optional table path when no path came before it,
+    as the 1e-6 of --tol 1e-6; that word is named after its flag."""
+    for flag, word in zip(argv, argv[1:]):
+        if word == path and flag.startswith("-") and flag in extras:
+            at = extras.index(flag) + 1
+            if extras[at:at + 1] != [path]:
+                return extras[:at] + [path] + extras[at:]
+    return extras
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args, extras = parser.parse_known_args(argv)
+    if extras:
+        named = _unrecognized(argv, extras, getattr(args, "path", None))
+        parser.error(f"unrecognized arguments: {' '.join(named)}")
     if not hasattr(args, "handler"):
         parser.print_help()
         return 2

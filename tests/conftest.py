@@ -9,6 +9,10 @@ from quandlekit.cayley import AffineSpec, validate_quandle
 from quandlekit.modular import is_prime, units
 from quandlekit.tables import bundled_order12
 
+# A trivial point beside the dihedral quandle of order 3: its rows have
+# fibers (4,) and (2, 1, 1), so it is no affine quandle.
+MIXED_ORDER4 = [[0, 0, 0, 0], [1, 1, 3, 2], [2, 3, 2, 1], [3, 2, 1, 3]]
+
 
 def connected_affine_specs(max_order, prime_only=False):
     """Yield every connected affine spec with modulus up to max_order; the

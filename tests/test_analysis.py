@@ -1,20 +1,30 @@
 """The analysis pipeline, isomorphism search, and affine recognition."""
 
 import json
+import random
 import time
 
 import pytest
 
 from quandlekit import (
+    AbelianGroup,
     AffineSpec,
+    abelian_affine_quandle,
+    abelian_types,
     affine_quandle,
     analyze,
+    automorphism_permutations,
+    bundled_order12,
     dihedral_quandle,
     quandles_isomorphic,
     recognize_affine,
     trivial_quandle,
+    units,
+    validate_quandle,
 )
-from conftest import transposition_quandle
+from quandlekit import analysis
+from quandlekit.analysis import RECOGNITION_CAP
+from conftest import MIXED_ORDER4, transposition_quandle
 
 
 def _relabel(q, sigma):
@@ -27,9 +37,14 @@ def _relabel(q, sigma):
     for x in range(n):
         for y in range(n):
             table[sigma[x]][sigma[y]] = sigma[q.op(x, y)]
-    from quandlekit import validate_quandle
-
     return validate_quandle(table)
+
+
+def _shuffled(q, rng):
+    """q relabelled by a permutation drawn from rng."""
+    sigma = list(range(q.order))
+    rng.shuffle(sigma)
+    return _relabel(q, sigma)
 
 
 def test_isomorphism_finds_identity():
@@ -78,6 +93,81 @@ def test_recognize_affine_respects_cap(order12):
     q = affine_quandle(AffineSpec(17, 2))
     assert recognize_affine(q) is None  # above the default cap
     assert recognize_affine(q, cap=17) == AffineSpec(17, 2)
+
+
+def _per_unit_search(quandle, cap=RECOGNITION_CAP):
+    """recognize_affine as it was before the signature filter and the
+    pinned point: a free isomorphism search against Aff(Z_m, t) for every
+    unit t in turn, the first match winning."""
+    m = quandle.order
+    if m > cap:
+        return None
+    for t in units(m):
+        spec = AffineSpec(m, t)
+        if quandles_isomorphic(quandle, affine_quandle(spec)) is not None:
+            return spec
+    return None
+
+
+def _recognition_inputs():
+    """Every Aff(A, f) of order at most 13, over every abelian type and
+    every automorphism, as built and relabelled; the trivial and dihedral
+    quandles of orders 1 to 13; the bundled table; the transposition
+    classes of S4 and S5."""
+    rng = random.Random(0)
+    for order in range(1, RECOGNITION_CAP + 1):
+        for moduli in abelian_types(order):
+            group = AbelianGroup(moduli)
+            for f in automorphism_permutations(group):
+                q = abelian_affine_quandle(group, f)
+                yield q
+                yield _shuffled(q, rng)
+        yield trivial_quandle(order)
+        yield dihedral_quandle(order)
+    yield bundled_order12()
+    yield transposition_quandle(4)
+    yield transposition_quandle(5)
+
+
+def test_recognize_affine_matches_the_per_unit_search():
+    outcomes = [(recognize_affine(q), _per_unit_search(q)) for q in _recognition_inputs()]
+    assert len(outcomes) == 629
+    assert [got for got, _ in outcomes] == [want for _, want in outcomes]
+    matched = sum(got is not None for got, _ in outcomes)
+    assert 0 < matched < len(outcomes)
+    # the dihedral quandle of order 8 is Aff(Z_8, t) for t = 3 and t = 7;
+    # the first unit wins
+    assert _per_unit_search(dihedral_quandle(8)) == AffineSpec(8, 3)
+    assert recognize_affine(dihedral_quandle(8)) == AffineSpec(8, 3)
+
+
+def test_recognize_affine_searches_only_multipliers_of_the_input_signature(
+        order12, monkeypatch):
+    """Each isomorphism search recognize_affine starts is recorded as
+    (multiplier, forced pairs); the target's entry 1 > 0 is its multiplier."""
+    calls = []
+    search = analysis._isomorphism
+
+    def counted(first, second, sig_first, sig_second, forced):
+        calls.append((second.op(1, 0), tuple(forced)))
+        return search(first, second, sig_first, sig_second, forced)
+
+    monkeypatch.setattr(analysis, "_isomorphism", counted)
+    q = _shuffled(affine_quandle(AffineSpec(13, 11)), random.Random(1))
+    assert recognize_affine(q) == AffineSpec(13, 11)
+    # units of order 12 mod 13, the only ones with the cycle type (1, 12)
+    assert 1 <= len(calls) <= 4
+    assert {t for t, _ in calls} <= {2, 6, 7, 11}
+    assert calls[-1][0] == 11
+    assert all(forced == ((0, 0),) for _, forced in calls)
+
+    calls.clear()
+    assert recognize_affine(order12) is None
+    assert calls == [(11, ((0, 0),))]
+
+    calls.clear()
+    assert recognize_affine(validate_quandle(MIXED_ORDER4)) is None
+    assert calls == []
 
 
 def test_analyze_prime_affine_report():

@@ -16,6 +16,7 @@ from quandlekit import (
     parse_table,
 )
 from quandlekit.cli import main
+from conftest import MIXED_ORDER4
 
 
 def test_format_parse_round_trip():
@@ -107,6 +108,11 @@ def test_cli_missing_file():
 def test_cli_requires_exactly_one_source(capsys):
     assert main(["validate"]) == 2
     assert main(["validate", "--affine", "5", "2", "--bundled"]) == 2
+    capsys.readouterr()
+    # a path beside --affine is a second source, not an unknown argument
+    assert main(["analyze", "--affine", "13", "8", "extra.txt"]) == 2
+    assert capsys.readouterr().err == (
+        "error: give exactly one of: a table file, --affine, --bundled\n")
 
 
 def test_cli_no_command_prints_help(capsys):
@@ -199,12 +205,15 @@ def test_cli_decompose_needs_affine(capsys):
     assert main(["decompose"]) == 2
 
 
-@pytest.mark.parametrize("command", ["analyze", "decompose"])
+@pytest.mark.parametrize("command", ["analyze", "validate", "tensor", "gelfand", "decompose"])
 def test_cli_has_no_tolerance_flag(command, capsys):
+    """The unknown flag is named with its value, which the optional table
+    path of all but decompose would otherwise take."""
     with pytest.raises(SystemExit) as exc:
         main([command, "--affine", "13", "8", "--tol", "1e-6"])
     assert exc.value.code == 2
-    assert "unrecognized arguments" in capsys.readouterr().err
+    assert capsys.readouterr().err.endswith(
+        "quandlekit: error: unrecognized arguments: --tol 1e-6\n")
 
 
 def test_cli_decompose_rejects_composite(capsys):
@@ -418,14 +427,19 @@ def _pinned_inputs(directory):
     """Table files for the pinned runs below: the affine (7, 3) table with
     two entries of column 0 swapped (axiom 3 fails), a table whose column 1
     is not a bijection, and the (11, 2) table relabelled by a fixed
-    permutation."""
+    permutation, the order-4 table MIXED_ORDER4 (no affine quandle) and the
+    dihedral quandle of order 8 relabelled by a fixed permutation."""
+    def relabelled(q, sigma):
+        inverse = sorted(range(q.order), key=sigma.__getitem__)
+        return [[sigma[q.op(inverse[a], inverse[b])] for b in range(q.order)]
+                for a in range(q.order)]
+
     rows = [list(row) for row in affine_quandle(AffineSpec(7, 3)).table]
     rows[1][0], rows[2][0] = rows[2][0], rows[1][0]
-    sigma = (5, 9, 0, 3, 10, 1, 7, 2, 8, 4, 6)
-    inverse = sorted(range(11), key=sigma.__getitem__)
-    q = affine_quandle(AffineSpec(11, 2))
-    relabelled = [[sigma[q.op(inverse[a], inverse[b])] for b in range(11)] for a in range(11)]
-    for name, table in (("corrupted.txt", rows), ("relabelled.txt", relabelled)):
+    affine = relabelled(affine_quandle(AffineSpec(11, 2)), (5, 9, 0, 3, 10, 1, 7, 2, 8, 4, 6))
+    dihedral = relabelled(dihedral_quandle(8), (3, 6, 0, 7, 2, 5, 1, 4))
+    for name, table in (("corrupted.txt", rows), ("relabelled.txt", affine),
+                        ("order4.txt", MIXED_ORDER4), ("dihedral8.txt", dihedral)):
         lines = [str(len(table))] + [" ".join(map(str, row)) for row in table]
         (directory / name).write_text("\n".join(lines) + "\n")
     (directory / "not-bijective.txt").write_text("3\n0 2 1\n2 1 0\n1 1 2\n")
@@ -451,6 +465,12 @@ def _pinned_inputs(directory):
         # "error: modulus must be at least 1\n", a ValueError from AffineSpec
         (["analyze", "--affine", "0", "1"], EMPTY_DIGEST,
          "2131a1dc17d106906ed7050e011d4b8026fa58adfb431cc82060cfb407b7516f", 1),
+        # affine_status "none", reached without an isomorphism search
+        (["analyze", "--json", "-", "order4.txt"],
+         "b870def8bdecf88f7e0afd3bb4c56a1904173b3e33e3019f7c86819cefb3f682", EMPTY_DIGEST, 0),
+        # not connected; "match" (8, 3), the first of the units 3 and 7 that fit
+        (["analyze", "--json", "-", "dihedral8.txt"],
+         "d3b1fe1cda5a0c2f125742ed08eecba50b8cb3130a3559f92bd0f2ffdf2c5c9a", EMPTY_DIGEST, 0),
     ],
 )
 def test_cli_outputs_and_exit_codes_are_pinned(argv, out_digest, err_digest, code,
