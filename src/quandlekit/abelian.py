@@ -11,11 +11,13 @@ time, pruning a partial map as soon as the images chosen so far generate
 a subgroup of the wrong order (Hillar and Rhea, "Automorphisms of finite
 abelian groups", Amer. Math. Monthly, 2007, give |Aut(A)| in closed form).
 Both the enumeration and the extension work on the n x n addition table
-of element-list indices.  The enumeration wraps finished image rows as
-permutations without re-checking them; the extension and the translation
-group are built from their image arrays alone.  The table and the
-automorphisms are memoised on the AbelianGroup (perms._memoised), so
-automorphism_group and every extension of one group reuse them.
+of element-list indices.  The enumeration checks its image array once and
+keeps it, read-only; automorphism_permutations wraps its rows as
+permutations without re-checking them, and automorphism_group, the
+extension and the translation group are built from image arrays alone.
+The table, the image array and the automorphisms are memoised on the
+AbelianGroup (perms._memoised), so automorphism_group and every extension
+of one group reuse them.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from math import prod
 import numpy as np
 
 from .cayley import validate_quandle
-from .perms import GroupTooLarge, Permutation, PermutationGroup, _memoised
+from .perms import GroupTooLarge, Permutation, PermutationGroup, _dtype_for, _memoised
 
 # Largest number of candidate generator-image assignments that
 # automorphism_permutations expands; (2,2,2,2), the largest of any type of
@@ -146,9 +148,9 @@ def _addition_table(group: AbelianGroup) -> np.ndarray:
 
 
 @_memoised
-def automorphism_permutations(group: AbelianGroup) -> tuple[Permutation, ...]:
-    """Every automorphism, as a permutation of the element list; memoised
-    on the group.
+def _automorphism_images(group: AbelianGroup) -> np.ndarray:
+    """The read-only array of every automorphism's image row, one row per
+    automorphism, of dtype perms._dtype_for(|A|); memoised on the group.
 
     A homomorphism is fixed by the images h_1..h_k of the standard
     generators; the image of a generator of order m must itself be killed
@@ -194,13 +196,25 @@ def automorphism_permutations(group: AbelianGroup) -> tuple[Permutation, ...]:
         ].reshape(len(keep), -1)
     if not np.all(np.sort(spans, axis=1) == np.arange(group.order)):
         raise RuntimeError(f"a kept map of {group.moduli} is not a bijection")
-    return tuple(map(Permutation._trusted, spans.tolist()))
+    images = spans.astype(_dtype_for(group.order))
+    images.flags.writeable = False
+    return images
+
+
+@_memoised
+def automorphism_permutations(group: AbelianGroup) -> tuple[Permutation, ...]:
+    """Every automorphism, as a permutation of the element list, in the
+    itertools.product order of the generator images (_automorphism_images);
+    memoised on the group."""
+    return tuple(map(Permutation._trusted, _automorphism_images(group).tolist()))
 
 
 def automorphism_group(group: AbelianGroup) -> PermutationGroup:
-    """Aut(A) acting on the element list, built from the memoised
-    automorphism_permutations."""
-    return PermutationGroup.from_elements(automorphism_permutations(group))
+    """Aut(A) acting on the element list, built straight from the memoised
+    image array; its elements are the memoised automorphism_permutations,
+    in lex order."""
+    return PermutationGroup._with_elements(_automorphism_images(group),
+                                           automorphism_permutations(group))
 
 
 def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):

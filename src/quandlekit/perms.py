@@ -13,7 +13,8 @@ pair index, and the least index (the representative) and size of every
 block; Partition.blocks builds the member tuples only when they are read.
 Conjugacy classes and double cosets K g K are orbits, of G acting on itself
 by conjugation and of K x K by multiplication on both sides, so both are
-split by maps built from a greedy generating set S, |S| <= log2 |K|.
+split by maps built from a greedy generating set S, |S| <= log2 |K|: the
+last member of K outside <S> joins S until |K| / |<S>| is 1 or prime.
 
 close_group prunes redundant generators as in Dimino's algorithm (Holt,
 Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): a
@@ -40,6 +41,8 @@ from functools import cached_property, wraps
 from math import lcm
 
 import numpy as np
+
+from .modular import is_prime
 
 
 def _memoised(build):
@@ -222,7 +225,13 @@ class PermutationGroup:
         if any(p.degree != degree for p in elements):
             degrees = sorted({p.degree for p in elements})
             raise ValueError(f"elements of mixed degrees {degrees}")
-        rows = np.array([p.images for p in elements], dtype=_dtype_for(degree))
+        return cls._with_elements(np.array([p.images for p in elements],
+                                           dtype=_dtype_for(degree)), elements)
+
+    @classmethod
+    def _with_elements(cls, rows: np.ndarray, elements) -> "PermutationGroup":
+        """The group of the image rows, which keeps ``elements[i]``, the
+        permutation of ``rows[i]``, as its elements (in lex order)."""
         rank = np.lexsort(rows.T[::-1])
         group = cls(rows[rank])
         group.elements = tuple(elements[i] for i in rank.tolist())
@@ -416,14 +425,25 @@ def _greedy_generators(group: PermutationGroup,
                        members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Image rows of a greedy generating set S, read off the elements, of the
     subgroup K with ascending element indices ``members``, and the int32
-    index maps x -> s x of G.  The least member outside <S> (the identity's
-    orbit under the maps) joins S, at least doubling it: |S| <= log2 |K|."""
+    index maps x -> s x of G.
+
+    The last (lex-largest) member outside <S> (the identity's orbit under
+    the maps) joins S, at least doubling <S>: |S| <= log2 |K|.  A late
+    member tends to climb further than the least one, which often lies in
+    a small subgroup; on Aut(Z_2^4), of order 20160, |S| is 3, not 9.  By
+    Lagrange, a subgroup strictly between <S> and K has an order that
+    |<S>| divides and that divides |K|; once |K| / |<S>| is prime there is
+    none, so any member outside <S> completes S, with no orbit pass to
+    confirm it."""
     E, keys = group.images, _element_keys(group)
     base = E[:, : keys.base_length]
     chosen, left, outside = [], np.empty((0, len(E)), dtype=np.int32), members[1:]
     while outside.size:
-        chosen.append(outside[0])
-        left = np.vstack([left, keys.lookup(E[outside[0]][base])], dtype=np.int32)
+        chosen.append(outside[-1])
+        left = np.vstack([left, keys.lookup(E[outside[-1]][base])], dtype=np.int32)
+        # |<S>| before this member joined is |K| minus the members outside it
+        if is_prime(len(members) // (len(members) - outside.size)):
+            break
         outside = outside[_orbit_labels(left)[outside] != 0]
     return E[chosen], left
 

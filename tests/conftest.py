@@ -5,8 +5,16 @@ import itertools
 
 import pytest
 
+from quandlekit.abelian import (
+    AbelianGroup,
+    abelian_types,
+    affine_extension,
+    automorphism_permutations,
+)
 from quandlekit.cayley import AffineSpec, validate_quandle
+from quandlekit.inner import inner_group
 from quandlekit.modular import is_prime, units
+from quandlekit.perms import Permutation, PermutationGroup, close_group, stabilizer
 from quandlekit.tables import bundled_order12
 
 # A trivial point beside the dihedral quandle of order 3: its rows have
@@ -52,6 +60,34 @@ def reference_tensor_classes(q):
         seen |= orbit
         classes.append(tuple(sorted(orbit)))
     return tuple(classes)
+
+
+def differential_pairs(order12):
+    """(G, K) pairs with known double cosets: A x| <f> over <f> for every
+    automorphism f of every abelian group of order <= 12 (288 pairs),
+    S4 over nine of its subgroups, and the order-12 inner group over each
+    point stabilizer."""
+    for order in range(1, 13):
+        for moduli in abelian_types(order):
+            abelian = AbelianGroup(moduli)
+            for f in automorphism_permutations(abelian):
+                yield affine_extension(abelian, f)
+    s4 = close_group(
+        [Permutation.from_cycles(4, [(0, 1, 2, 3)]), Permutation.from_cycles(4, [(0, 1)])]
+    )
+    subgroups = [
+        close_group([Permutation.from_cycles(4, [(0, 1)])]),
+        close_group([Permutation.from_cycles(4, [(0, 1, 2)])]),
+        close_group([Permutation.from_cycles(4, [(0, 1), (2, 3)])]),
+        PermutationGroup.from_elements([Permutation.identity(4)]),
+        s4,
+    ]
+    subgroups += [stabilizer(s4, point) for point in range(4)]
+    for sub in subgroups:
+        yield s4, sub
+    group = inner_group(order12)
+    for point in range(12):
+        yield group, stabilizer(group, point)
 
 
 def transposition_quandle(degree):

@@ -301,3 +301,31 @@ def test_automorphisms_and_addition_table_are_memoised_on_the_group():
     assert automorphism_permutations(AbelianGroup((2, 2, 4))) is not autos
     assert group == AbelianGroup((2, 2, 4))
     assert repr(group) == "AbelianGroup(moduli=(2, 2, 4))"
+
+
+def test_automorphism_group_is_built_from_the_memoised_image_array():
+    """Aut(A) from the checked image array equals the group from_elements
+    builds out of the memoised permutations, keeps those objects in the
+    same order, and leaves the array read-only; every type of order <= 30
+    is within AUTOMORPHISM_CANDIDATE_CAP, (2,2,2,2) and (3,3,3) included."""
+    import numpy as np
+
+    from quandlekit import PermutationGroup
+    from quandlekit.abelian import _automorphism_images
+    from quandlekit.perms import _dtype_for
+
+    types = [moduli for order in range(1, 31) for moduli in abelian_types(order)]
+    assert {(2, 2, 2, 2), (3, 3, 3)} <= set(types)
+    for moduli in types:
+        group = AbelianGroup(moduli)
+        images = _automorphism_images(group)
+        assert images.dtype == _dtype_for(group.order) and not images.flags.writeable, moduli
+        with pytest.raises(ValueError):
+            images[0, 0] = 0
+        autos = automorphism_permutations(group)
+        assert [list(f.images) for f in autos] == images.tolist(), moduli
+        aut = automorphism_group(group)
+        reference = PermutationGroup.from_elements(autos)
+        assert np.array_equal(aut.images, reference.images), moduli
+        assert len(aut.elements) == len(autos)
+        assert all(a is b for a, b in zip(aut.elements, reference.elements)), moduli

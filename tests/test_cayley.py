@@ -232,6 +232,31 @@ def test_coset_quandle_checks_multiplicativity_on_a_group_built_from_its_images(
             coset_quandle(group, [], swap)
 
 
+@pytest.mark.parametrize("name", ["Z5", "Z6", "S3", "Z2xZ2"])
+def test_coset_quandle_raises_exactly_on_non_multiplicative_bijections(name):
+    """Every bijection of the group that fixes the identity: coset_quandle
+    checks multiplicativity at a generating set only, and must raise
+    exactly when the full check over all pairs fails."""
+    group = {
+        "Z5": lambda: close_group([Permutation.from_cycles(5, [tuple(range(5))])]),
+        "Z6": lambda: close_group([Permutation.from_cycles(6, [tuple(range(6))])]),
+        "S3": lambda: close_group([Permutation.from_cycles(3, [(0, 1, 2)]),
+                                   Permutation.from_cycles(3, [(0, 1)])]),
+        "Z2xZ2": lambda: AbelianGroup((2, 2)).translation_group(),
+    }[name]()
+    elements = group.elements
+    automorphisms = 0
+    for images in itertools.permutations(elements[1:]):
+        auto = dict(zip(elements, (elements[0], *images)))
+        if all(auto[a * b] == auto[a] * auto[b] for a in elements for b in elements):
+            assert coset_quandle(group, [], auto).order == len(elements)
+            automorphisms += 1
+        else:
+            with pytest.raises(NotAutomorphism, match="^not multiplicative"):
+                coset_quandle(group, [], auto)
+    assert automorphisms == {"Z5": 4, "Z6": 2, "S3": 6, "Z2xZ2": 6}[name]
+
+
 def test_coset_quandle_rejects_partial_map():
     a = Permutation.from_cycles(3, [(0, 1, 2)])
     group = close_group([a])

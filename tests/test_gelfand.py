@@ -6,16 +6,12 @@ import numpy as np
 import pytest
 
 from quandlekit import (
-    AbelianGroup,
     AffineSpec,
     NotASubgroup,
     NotConnected,
     Permutation,
     PermutationGroup,
-    abelian_types,
-    affine_extension,
     affine_quandle,
-    automorphism_permutations,
     burnside_rank,
     close_group,
     dihedral_quandle,
@@ -34,7 +30,12 @@ from quandlekit import (
 )
 from quandlekit.gelfand import DoubleCosetPartition
 from quandlekit.perms import _PRODUCT_CHUNK, _ElementKeys, _element_keys, conjugacy_classes
-from conftest import connected_affine_specs, reference_tensor_classes, transposition_quandle
+from conftest import (
+    connected_affine_specs,
+    differential_pairs,
+    reference_tensor_classes,
+    transposition_quandle,
+)
 
 
 def test_orbital_matrices_partition_all_ones():
@@ -315,32 +316,10 @@ def _reference_is_gelfand(group, cosets):
     )
 
 
-def _differential_pairs(order12):
-    for order in range(1, 13):
-        for moduli in abelian_types(order):
-            abelian = AbelianGroup(moduli)
-            for f in automorphism_permutations(abelian):
-                yield affine_extension(abelian, f)
-    s4 = _s4()
-    subgroups = [
-        close_group([Permutation.from_cycles(4, [(0, 1)])]),
-        close_group([Permutation.from_cycles(4, [(0, 1, 2)])]),
-        close_group([Permutation.from_cycles(4, [(0, 1), (2, 3)])]),
-        PermutationGroup.from_elements([Permutation.identity(4)]),
-        s4,
-    ]
-    subgroups += [stabilizer(s4, point) for point in range(4)]
-    for sub in subgroups:
-        yield s4, sub
-    group = inner_group(order12)
-    for point in range(12):
-        yield group, stabilizer(group, point)
-
-
 def test_double_cosets_and_gelfand_match_reference(order12):
     pairs = 0
     negatives = 0
-    for group, sub in _differential_pairs(order12):
+    for group, sub in differential_pairs(order12):
         part = double_cosets(group, sub)
         expected = _reference_double_cosets(group, sub)
         assert part.cosets == expected, (group, sub)
@@ -391,7 +370,7 @@ def _stabilizer_pairs(max_order):
 
 @pytest.mark.parametrize("family", ["affine m <= 47", "differential pairs"])
 def test_double_cosets_match_the_two_sided_pass(family, order12):
-    pairs = _stabilizer_pairs(47) if family == "affine m <= 47" else _differential_pairs(order12)
+    pairs = _stabilizer_pairs(47) if family == "affine m <= 47" else differential_pairs(order12)
     count = 0
     for group, sub in pairs:
         part = double_cosets(group, sub)

@@ -22,7 +22,8 @@ from quandlekit.cayley import (
 )
 from quandlekit.gelfand import double_cosets
 from quandlekit.inner import inner_generators, inner_group
-from quandlekit.modular import units
+from quandlekit.modular import is_prime, units
+from quandlekit import perms
 from quandlekit.perms import (
     ConjugacyClassSet,
     GroupTooLarge,
@@ -41,8 +42,15 @@ from quandlekit.perms import (
 )
 from quandlekit.tables import bundled_order12
 from quandlekit.tensor import tensor_square
-from quandlekit.perms import _PRODUCT_CHUNK, _element_keys, _ElementKeys, _orbit_labels
-from conftest import transposition_quandle
+from quandlekit.perms import (
+    _PRODUCT_CHUNK,
+    _element_keys,
+    _ElementKeys,
+    _greedy_generators,
+    _locate,
+    _orbit_labels,
+)
+from conftest import connected_affine_specs, differential_pairs, transposition_quandle
 
 
 def _indexing_cases():
@@ -465,6 +473,85 @@ def test_class_split_looks_up_at_most_two_key_sets_per_doubling(monkeypatch):
         classes = conjugacy_classes(fresh)
         assert 0 < len(calls) <= 2 * (len(group).bit_length() - 1), len(group)
         assert np.array_equal(classes.labels, conjugacy_classes(group).labels)
+
+
+def test_class_split_of_aut_z2_4_looks_up_six_key_sets(monkeypatch):
+    """The last member outside <S> climbs GL(4,2) in three steps, where the
+    least one took nine: 3 lookups for S and 3 for the conjugations."""
+    calls = []
+    lookup = _ElementKeys.lookup
+    monkeypatch.setattr(_ElementKeys, "lookup",
+                        lambda keys, base: calls.append(len(base)) or lookup(keys, base))
+    group = automorphism_group(AbelianGroup((2, 2, 2, 2)))
+    calls.clear()
+    assert len(conjugacy_classes(group)) == 14
+    assert 0 < len(calls) <= 6, calls
+
+
+def _greedy_cases(family, order12):
+    """(G, K) pairs for _greedy_generators, K = G for a lone group."""
+    if family == "affine m <= 31":
+        for spec in connected_affine_specs(31):
+            group = inner_group(affine_quandle(spec))
+            yield group, group
+            yield group, stabilizer(group, 0)
+    elif family == "abelian order <= 16":
+        for order in range(1, 17):
+            for moduli in abelian_types(order):
+                for group in (automorphism_group(AbelianGroup(moduli)),
+                              AbelianGroup(moduli).translation_group()):
+                    yield group, group
+    elif family == "differential pairs":
+        yield from differential_pairs(order12)
+    else:
+        yield from ((group, group) for group in [close_group([Permutation.identity(1)])]
+                    + [_symmetric_group(n) for n in range(2, 7)])
+
+
+@pytest.mark.parametrize("family", ["affine m <= 31", "abelian order <= 16",
+                                    "differential pairs", "S1-S6"])
+def test_greedy_generators_generate_the_subgroup(family, order12):
+    """S lies in K and generates exactly K, |S| <= floor(log2 |K|), and
+    left[i] is x -> s_i x on G's element indices.  The prime-index stop
+    fires when the last member of S raised |<S>| by a prime factor."""
+    fired = 0
+    for group, sub in _greedy_cases(family, order12):
+        rows, left = _greedy_generators(group, _locate(group, sub.images)[0])
+        assert len(rows) <= len(sub).bit_length() - 1, (group, sub)
+        assert left.dtype == np.int32 and left.shape == (len(rows), len(group))
+        if len(sub) == 1:
+            continue
+        gens = [Permutation._trusted(row) for row in rows.tolist()]
+        assert all(g in sub for g in gens)
+        assert close_group(gens) == sub, (group, sub)
+        index = {x.images: i for i, x in enumerate(group.elements)}
+        for s, row in zip(gens, left.tolist()):
+            assert row == [index[(s * x).images] for x in group.elements]
+        below = len(close_group(gens[:-1])) if len(gens) > 1 else 1
+        fired += is_prime(len(sub) // below)
+    assert fired > 0
+
+
+def test_greedy_generators_of_a_prime_order_subgroup_make_no_orbit_pass(monkeypatch):
+    """For |K| prime, the first member of S generates K by Lagrange, so the
+    helper returns it without an orbit pass to confirm it."""
+    calls = []
+    labels = perms._orbit_labels
+    monkeypatch.setattr(perms, "_orbit_labels",
+                        lambda maps: calls.append(len(maps)) or labels(maps))
+    orders = set()
+    for moduli in [(2, 2), (5,), (7,), (11,)]:
+        abelian = AbelianGroup(moduli)
+        for f in automorphism_permutations(abelian):
+            if element_order(f) not in (2, 3, 5):
+                continue
+            big, small = affine_extension(abelian, f)
+            calls.clear()
+            rows, left = _greedy_generators(big, _locate(big, small.images)[0])
+            assert calls == [] and len(rows) == 1 and len(left) == 1
+            assert close_group([Permutation._trusted(rows[0].tolist())]) == small
+            orders.add(element_order(f))
+    assert orders == {2, 3, 5}
 
 
 def _per_class_least(group):
