@@ -6,6 +6,7 @@ automorphism f, the group of maps x -> a + f^i(x) together with <f> forms
 a pair whose double-coset algebra is checked for commutativity.  Large
 automorphism groups are covered through conjugacy-class representatives,
 which is enough because conjugate automorphisms give isomorphic pairs.
+The table goes to stdout; one progress line per order goes to stderr.
 """
 
 import argparse
@@ -39,7 +40,8 @@ def main():
     agreements = 0
     print("order  moduli           |Aut|  swept  gelfand  mf-agree")
     for order in range(1, args.max_order + 1):
-        for moduli in abelian_types(order):
+        types = abelian_types(order)
+        for moduli in types:
             group = AbelianGroup(moduli)
             try:
                 autos = automorphism_permutations(group)
@@ -68,6 +70,8 @@ def main():
             name = "x".join(f"Z{m}" for m in moduli)
             print(f"{order:5d}  {name:15s}  {len(autos):5d}  {len(sweep):5d}  "
                   f"{'yes' if all_gelfand else 'NO':7s}  {agreed}")
+        print(f"order {order}/{args.max_order}: {len(types)} types, {total} pairs so far, "
+              f"{time.perf_counter() - started:.1f}s", file=sys.stderr)
     print(f"{total} pairs in {time.perf_counter() - started:.1f}s; "
           f"orbital test agreed on all {agreements} connected instances")
     return 0

@@ -12,12 +12,12 @@ a subgroup of the wrong order (Hillar and Rhea, "Automorphisms of finite
 abelian groups", Amer. Math. Monthly, 2007, give |Aut(A)| in closed form).
 Both the enumeration and the extension work on the n x n addition table
 of element-list indices.  The enumeration checks its image array once and
-keeps it, read-only; automorphism_permutations wraps its rows as
-permutations without re-checking them, and automorphism_group, the
-extension and the translation group are built from image arrays alone.
-The table, the image array and the automorphisms are memoised on the
-AbelianGroup (perms._memoised), so automorphism_group and every extension
-of one group reuse them.
+keeps it, read-only; automorphism_permutations is a sequence over its rows
+that builds a Permutation only for a row that is read, and
+automorphism_group, the extension and the translation group are built
+from image arrays alone.  The coordinate array, the table, the image array
+and that sequence are memoised on the AbelianGroup (perms._memoised), so
+automorphism_group and every extension of one group reuse them.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from math import prod
 
 import numpy as np
 
-from .cayley import validate_quandle
-from .perms import GroupTooLarge, Permutation, PermutationGroup, _dtype_for, _memoised
+from .cayley import NotAutomorphism, validate_quandle
+from .perms import (GroupTooLarge, Permutation, PermutationGroup, PermutationRows,
+                    _dtype_for, _memoised)
 
 # Largest number of candidate generator-image assignments that
 # automorphism_permutations expands; (2,2,2,2), the largest of any type of
@@ -137,11 +138,20 @@ def _radix_weights(moduli: np.ndarray) -> np.ndarray:
 
 
 @_memoised
+def _coordinates(group: AbelianGroup) -> np.ndarray:
+    """The read-only (n, k) int64 array of the elements' coefficients, in
+    element-list order; memoised on the group."""
+    coords = np.array(group.elements, dtype=np.int64)
+    coords.flags.writeable = False
+    return coords
+
+
+@_memoised
 def _addition_table(group: AbelianGroup) -> np.ndarray:
     """The read-only n x n table of element-list indices of a + b;
     memoised on the group."""
     moduli = np.array(group.moduli, dtype=np.int64)
-    coords = np.array(group.elements, dtype=np.int64)
+    coords = _coordinates(group)
     table = (coords[:, None, :] + coords[None, :, :]) % moduli @ _radix_weights(moduli)
     table.flags.writeable = False
     return table
@@ -167,7 +177,7 @@ def _automorphism_images(group: AbelianGroup) -> np.ndarray:
     map, when there are more than AUTOMORPHISM_CANDIDATE_CAP assignments.
     """
     moduli = np.array(group.moduli, dtype=np.int64)
-    coords = np.array(group.elements, dtype=np.int64)
+    coords = _coordinates(group)
     weights = _radix_weights(moduli)
 
     candidate_rows = []
@@ -202,19 +212,21 @@ def _automorphism_images(group: AbelianGroup) -> np.ndarray:
 
 
 @_memoised
-def automorphism_permutations(group: AbelianGroup) -> tuple[Permutation, ...]:
+def automorphism_permutations(group: AbelianGroup) -> PermutationRows:
     """Every automorphism, as a permutation of the element list, in the
-    itertools.product order of the generator images (_automorphism_images);
-    memoised on the group."""
-    return tuple(map(Permutation._trusted, _automorphism_images(group).tolist()))
+    itertools.product order of the generator images: a read-only sequence
+    over the rows of _automorphism_images that wraps a row only when it is
+    read, so its length builds no Permutation.  Memoised on the group; it
+    holds the image array, not the group."""
+    return PermutationRows(_automorphism_images(group))
 
 
 def automorphism_group(group: AbelianGroup) -> PermutationGroup:
     """Aut(A) acting on the element list, built straight from the memoised
-    image array; its elements are the memoised automorphism_permutations,
-    in lex order."""
-    return PermutationGroup._with_elements(_automorphism_images(group),
-                                           automorphism_permutations(group))
+    image array with one lexsort, like any other group; its elements are
+    wrapped on first read and are not the objects automorphism_permutations
+    hands out."""
+    return PermutationGroup(_automorphism_images(group))
 
 
 def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
@@ -227,7 +239,7 @@ def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
     if automorphism.degree != group.order:
         raise ValueError("automorphism degree must match the group order")
     moduli = np.array(group.moduli, dtype=np.int64)
-    coords = np.array(group.elements, dtype=np.int64)
+    coords = _coordinates(group)
     f_coords = coords[list(automorphism.images)]
     drift = coords - f_coords
     # [x, y]: coordinates of f(x) + y - f(y), then its mixed-radix index
@@ -243,13 +255,19 @@ def affine_extension(
 
     Element count is |A| * order(f); the pair realizes (A x| <f>, <f>)
     acting on A.  The powers of f are index arrays, and every member is one
-    row of a single gather on the addition table.
+    row of a single gather on the addition table.  Raises NotAutomorphism,
+    naming the first pair (a, b) of element-list indices in row-major order
+    with f(a + b) != f(a) + f(b), when f is not additive.
     """
     count = group.order
     if automorphism.degree != count:
         raise ValueError("automorphism degree must match the group order")
     add_table = _addition_table(group)
     f = np.array(automorphism.images, dtype=np.int64)
+    broken = add_table[f[:, None], f] != f[add_table]
+    if broken.any():
+        a, b = np.argwhere(broken)[0].tolist()
+        raise NotAutomorphism(f"not additive at ({a}, {b})")
     powers = [np.arange(count, dtype=np.int64)]
     current = f
     while np.any(current != powers[0]):

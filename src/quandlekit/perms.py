@@ -36,6 +36,8 @@ replaced by their ranks among the elements' partial keys, which is exact.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import lcm
@@ -172,6 +174,26 @@ class Permutation:
         return f"Permutation{body}"
 
 
+class PermutationRows(Sequence):
+    """A read-only sequence of permutations held as a read-only 2-D array
+    of their image rows; row i is wrapped as a Permutation only when it is
+    read, so its length and any row it is not asked for cost nothing."""
+
+    __slots__ = ("images",)
+
+    def __init__(self, images: np.ndarray):
+        self.images = images
+
+    def __len__(self) -> int:
+        return len(self.images)
+
+    def __getitem__(self, index: int) -> Permutation:
+        return Permutation._trusted(self.images[operator.index(index)].tolist())
+
+    def __iter__(self):
+        return map(Permutation._trusted, self.images.tolist())
+
+
 def cycle_structure(perm: Permutation) -> tuple[int, ...]:
     """Sorted multiset of all cycle lengths, fixed points included."""
     lengths = [len(c) for c in perm.cycles()]
@@ -216,8 +238,8 @@ class PermutationGroup:
 
     @classmethod
     def from_elements(cls, elements) -> "PermutationGroup":
-        """The group of the given permutations, which keeps these objects
-        (in lex order) as its elements."""
+        """The group of the given permutations, built from their image rows
+        like any other group; it keeps none of these objects."""
         elements = tuple(elements)
         if not elements:
             raise ValueError("empty element list")
@@ -225,17 +247,7 @@ class PermutationGroup:
         if any(p.degree != degree for p in elements):
             degrees = sorted({p.degree for p in elements})
             raise ValueError(f"elements of mixed degrees {degrees}")
-        return cls._with_elements(np.array([p.images for p in elements],
-                                           dtype=_dtype_for(degree)), elements)
-
-    @classmethod
-    def _with_elements(cls, rows: np.ndarray, elements) -> "PermutationGroup":
-        """The group of the image rows, which keeps ``elements[i]``, the
-        permutation of ``rows[i]``, as its elements (in lex order)."""
-        rank = np.lexsort(rows.T[::-1])
-        group = cls(rows[rank])
-        group.elements = tuple(elements[i] for i in rank.tolist())
-        return group
+        return cls(np.array([p.images for p in elements], dtype=_dtype_for(degree)))
 
     @cached_property
     def elements(self) -> tuple[Permutation, ...]:

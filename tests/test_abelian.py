@@ -186,6 +186,30 @@ def test_extension_rejects_degree_mismatch():
         abelian_affine_quandle(group, Permutation.identity(5))
 
 
+def test_extension_rejects_exactly_the_bijections_that_are_not_automorphisms():
+    import itertools
+
+    from quandlekit import NotAutomorphism
+
+    for moduli in [(5,), (2, 2)]:
+        group = AbelianGroup(moduli)
+        autos = {f.images for f in automorphism_permutations(group)}
+        rejected = 0
+        for images in itertools.permutations(range(group.order)):
+            f = Permutation(images)
+            if images in autos:
+                big, small = affine_extension(group, f)
+                assert len(big) == group.order * len(small), (moduli, images)
+            else:
+                with pytest.raises(NotAutomorphism, match=r"^not additive at \(\d+, \d+\)$"):
+                    affine_extension(group, f)
+                rejected += 1
+        assert rejected == {(5,): 116, (2, 2): 18}[moduli]
+    # swapping 1 and 2 in Z_5 first fails at f(1 + 1) = 1 != f(1) + f(1) = 4
+    with pytest.raises(NotAutomorphism, match=r"^not additive at \(1, 1\)$"):
+        affine_extension(AbelianGroup((5,)), Permutation((0, 2, 1, 3, 4)))
+
+
 def test_inversion_pair_is_gelfand():
     group = AbelianGroup((9,))
     inversion = Permutation(tuple((-x) % 9 for x in range(9)))
@@ -293,19 +317,58 @@ def test_automorphisms_and_addition_table_are_memoised_on_the_group():
     assert _addition_table(group) is table
     assert not table.flags.writeable
     autos = automorphism_permutations(group)
-    assert isinstance(autos, tuple)
     assert automorphism_permutations(group) is autos
-    # from_elements keeps the objects it is given: no second enumeration
+    # Aut(A) has the same images, in lex order; the count test below
+    # shows that neither enumerates twice
     aut = automorphism_group(group)
-    assert {id(f) for f in aut.elements} == {id(f) for f in autos}
+    assert [f.images for f in aut.elements] == sorted(f.images for f in autos)
     assert automorphism_permutations(AbelianGroup((2, 2, 4))) is not autos
     assert group == AbelianGroup((2, 2, 4))
     assert repr(group) == "AbelianGroup(moduli=(2, 2, 4))"
 
 
+def test_automorphism_count_and_class_representatives_build_few_permutations(monkeypatch):
+    """The |Aut| > 500 path of the criterion-6 sweep reads len() of the
+    automorphisms and the class representatives of Aut(A); on Z_2^4 that
+    wraps 14 rows, not the 20160 automorphisms."""
+    from quandlekit import conjugacy_classes
+
+    built = 0
+    trusted = Permutation._trusted.__func__
+
+    def counted(cls, images):
+        nonlocal built
+        built += 1
+        return trusted(cls, images)
+
+    monkeypatch.setattr(Permutation, "_trusted", classmethod(counted))
+    group = AbelianGroup((2, 2, 2, 2))
+    assert len(automorphism_permutations(group)) == 20160
+    representatives = conjugacy_classes(automorphism_group(group)).representatives
+    assert len(representatives) == 14
+    assert built <= 14
+
+
+def test_automorphism_sequence_contract():
+    from quandlekit import PermutationGroup
+    from quandlekit.abelian import _automorphism_images
+
+    for moduli in [(1,), (5,), (2, 2), (2, 4), (3, 3)]:
+        group = AbelianGroup(moduli)
+        autos = automorphism_permutations(group)
+        rows = _automorphism_images(group).tolist()
+        assert [list(f.images) for f in autos] == rows, moduli
+        assert [list(autos[i].images) for i in range(len(autos))] == rows, moduli
+        assert list(autos[-1].images) == rows[-1], moduli
+        with pytest.raises(IndexError):
+            autos[len(autos)]
+        assert automorphism_permutations(group) is autos
+        assert automorphism_group(group) == PermutationGroup.from_elements(list(autos))
+
+
 def test_automorphism_group_is_built_from_the_memoised_image_array():
     """Aut(A) from the checked image array equals the group from_elements
-    builds out of the memoised permutations, keeps those objects in the
+    builds out of the memoised permutations, with equal elements in the
     same order, and leaves the array read-only; every type of order <= 30
     is within AUTOMORPHISM_CANDIDATE_CAP, (2,2,2,2) and (3,3,3) included."""
     import numpy as np
@@ -328,4 +391,4 @@ def test_automorphism_group_is_built_from_the_memoised_image_array():
         reference = PermutationGroup.from_elements(autos)
         assert np.array_equal(aut.images, reference.images), moduli
         assert len(aut.elements) == len(autos)
-        assert all(a is b for a, b in zip(aut.elements, reference.elements)), moduli
+        assert aut.elements == reference.elements, moduli
