@@ -3,8 +3,9 @@
 
 For each isomorphism type A of order up to --max-order and each
 automorphism f, the group of maps x -> a + f^i(x) together with <f> forms
-a pair whose double-coset algebra is checked for commutativity.  Large
-automorphism groups are covered through conjugacy-class representatives,
+a pair whose double-coset algebra is checked for commutativity.  An
+automorphism group of more than 500 elements is covered through its
+conjugacy-class representatives,
 which is enough because conjugate automorphisms give isomorphic pairs.
 The table goes to stdout; one progress line per order goes to stderr.
 """
@@ -27,12 +28,13 @@ from quandlekit import (
     is_multiplicity_free,
 )
 
+# sweep every automorphism when |Aut| is at most this, as criterion 6 does
+FULL_SWEEP_LIMIT = 500
+
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--max-order", type=int, default=30)
-    parser.add_argument("--full-sweep-limit", type=int, default=500,
-                        help="sweep all automorphisms when |Aut| is at most this")
     args = parser.parse_args()
 
     started = time.perf_counter()
@@ -48,7 +50,7 @@ def main():
             except GroupTooLarge as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return 1
-            if len(autos) <= args.full_sweep_limit:
+            if len(autos) <= FULL_SWEEP_LIMIT:
                 sweep = autos
             else:
                 sweep = list(conjugacy_classes(automorphism_group(group)).representatives)

@@ -60,12 +60,9 @@ from .gelfand import (
     DoubleCosetPartition,
     MultiplicityFreeResult,
     NotConnected,
-    OrbitalMatrixSet,
     double_cosets,
     is_gelfand_pair,
     is_multiplicity_free,
-    orbital_matrices,
-    symmetric_orbital_shortcut,
 )
 from .inner import (
     InnerPresentation,

@@ -10,12 +10,12 @@ Automorphisms are found by extending generator images one generator at a
 time, pruning a partial map as soon as the images chosen so far generate
 a subgroup of the wrong order (Hillar and Rhea, "Automorphisms of finite
 abelian groups", Amer. Math. Monthly, 2007, give |Aut(A)| in closed form).
-Both the enumeration and the extension work on the n x n addition table
-of element-list indices.  The enumeration checks its image array once and
-keeps it, read-only; automorphism_permutations is a sequence over its rows
-that builds a Permutation only for a row that is read, and
-automorphism_group, the extension and the translation group are built
-from image arrays alone.  The coordinate array, the table, the image array
+The enumeration, the extension and the additivity check that both affine
+constructions make work on the n x n addition table of element-list
+indices.  The enumeration checks its image array once and keeps it,
+read-only; automorphism_permutations is a sequence over its rows that
+builds a Permutation only for a row that is read, and automorphism_group,
+the extension and the translation group are built from image arrays alone.  The coordinate array, the table, the image array
 and that sequence are memoised on the AbelianGroup (perms._memoised), so
 automorphism_group and every extension of one group reuse them.
 """
@@ -115,12 +115,6 @@ class AbelianGroup:
 
     def negate(self, a: tuple[int, ...]) -> tuple[int, ...]:
         return tuple((-x) % m for x, m in zip(a, self.moduli))
-
-    def translation(self, element: tuple[int, ...]) -> Permutation:
-        """The permutation x -> x + element of the element list."""
-        return Permutation(
-            tuple(self.index(self.add(x, element)) for x in self.elements)
-        )
 
     def translation_group(self) -> PermutationGroup:
         """The regular action of the group on itself, fully enumerated: row
@@ -229,18 +223,34 @@ def automorphism_group(group: AbelianGroup) -> PermutationGroup:
     return PermutationGroup(_automorphism_images(group))
 
 
+def _additive(group: AbelianGroup, automorphism: Permutation) -> np.ndarray:
+    """f as an int64 index array, once it is checked to be an automorphism:
+    a bijection of the element list, so of degree |A|, that is additive.
+    Raises ValueError on another degree, and NotAutomorphism naming the
+    first pair (a, b) of element-list indices in row-major order with
+    f(a + b) != f(a) + f(b), from one gather on the addition table."""
+    if automorphism.degree != group.order:
+        raise ValueError("automorphism degree must match the group order")
+    add_table = _addition_table(group)
+    f = np.array(automorphism.images, dtype=np.int64)
+    broken = add_table[f[:, None], f] != f[add_table]
+    if broken.any():
+        a, b = np.argwhere(broken)[0].tolist()
+        raise NotAutomorphism(f"not additive at ({a}, {b})")
+    return f
+
+
 def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
     """The quandle x > y = f(x) + y - f(y) on the group's element list.
 
     Connected exactly when id - f is bijective; its inner group is then
     the extension built by affine_extension with the point stabilizer the
-    cyclic subgroup generated by f.
+    cyclic subgroup generated by f.  Raises NotAutomorphism when f is not
+    additive (_additive).
     """
-    if automorphism.degree != group.order:
-        raise ValueError("automorphism degree must match the group order")
     moduli = np.array(group.moduli, dtype=np.int64)
     coords = _coordinates(group)
-    f_coords = coords[list(automorphism.images)]
+    f_coords = coords[_additive(group, automorphism)]
     drift = coords - f_coords
     # [x, y]: coordinates of f(x) + y - f(y), then its mixed-radix index
     table = (f_coords[:, None, :] + drift[None, :, :]) % moduli @ _radix_weights(moduli)
@@ -255,19 +265,11 @@ def affine_extension(
 
     Element count is |A| * order(f); the pair realizes (A x| <f>, <f>)
     acting on A.  The powers of f are index arrays, and every member is one
-    row of a single gather on the addition table.  Raises NotAutomorphism,
-    naming the first pair (a, b) of element-list indices in row-major order
-    with f(a + b) != f(a) + f(b), when f is not additive.
+    row of a single gather on the addition table.  Raises NotAutomorphism
+    when f is not additive (_additive).
     """
+    f = _additive(group, automorphism)
     count = group.order
-    if automorphism.degree != count:
-        raise ValueError("automorphism degree must match the group order")
-    add_table = _addition_table(group)
-    f = np.array(automorphism.images, dtype=np.int64)
-    broken = add_table[f[:, None], f] != f[add_table]
-    if broken.any():
-        a, b = np.argwhere(broken)[0].tolist()
-        raise NotAutomorphism(f"not additive at ({a}, {b})")
     powers = [np.arange(count, dtype=np.int64)]
     current = f
     while np.any(current != powers[0]):
@@ -275,4 +277,5 @@ def affine_extension(
         current = current[f]
     powers = np.array(powers)
     # member (a, i) is y -> a + f^i(y)
-    return PermutationGroup(add_table[:, powers].reshape(-1, count)), PermutationGroup(powers)
+    return (PermutationGroup(_addition_table(group)[:, powers].reshape(-1, count)),
+            PermutationGroup(powers))

@@ -2,10 +2,11 @@
 inner-group data, tensor classes, multiplicity-freeness, the Gelfand-pair
 verdict, and (for prime affine inputs) the module decomposition.
 
-Also houses a small exact isomorphism search, used to recognize affine
-quandles among tables of order at most RECOGNITION_CAP: one search with
-0 pinned to 0 per Aff(Z_m, t) whose closed-form element signature is the
-table's (recognize_affine says why both cuts are exact).
+Also houses a small exact isomorphism search on row tables, used to
+recognize affine quandles among tables of order at most RECOGNITION_CAP:
+one search with 0 pinned to 0 per Aff(Z_m, t) whose closed-form element
+signature is the table's, against its closed-form rows, which build and
+validate no quandle (recognize_affine says why both cuts are exact).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import asdict, dataclass
 from math import gcd
 
 from . import __version__
-from .cayley import AffineSpec, CayleyQuandle, affine_quandle, is_latin, right_translation
+from .cayley import AffineSpec, CayleyQuandle, is_latin, right_translation
 from .characters import BadParameters, burnside_rank, decompose_prime_affine
 from .gelfand import is_gelfand_pair, is_multiplicity_free
 from .inner import inner_group, is_connected
@@ -45,26 +46,25 @@ def quandles_isomorphic(first: CayleyQuandle,
         return None
     sig_first = [_element_signature(first, x) for x in range(n)]
     sig_second = [_element_signature(second, x) for x in range(n)]
-    return _isomorphism(first, second, sig_first, sig_second, ())
+    return _isomorphism(first.table, second.table, sig_first, sig_second, ())
 
 
-def _isomorphism(first, second, sig_first, sig_second, forced):
-    """Image tuple of an isomorphism from first to second that maps a to b
-    for every (a, b) in forced, or None; the two quandles have one order
-    and sig_first, sig_second list their element signatures.
+def _isomorphism(t1, t2, sig_first, sig_second, forced):
+    """Image tuple of an isomorphism from the quandle with rows t1 to the
+    one with rows t2 that maps a to b for every (a, b) in forced, or None;
+    the two tables have one order and sig_first, sig_second list their
+    element signatures.
 
     Backtracking over images with forward propagation: every assigned pair
     (a, b) forces sigma(a ? b) for both operand orders, so contradictions
     surface long before the map is total.
     """
-    n = first.order
+    n = len(t1)
     candidates = [
         [y for y in range(n) if sig_second[y] == sig_first[x]] for x in range(n)
     ]
     if any(not c for c in candidates):
         return None
-
-    t1, t2 = first.table, second.table
 
     def propagate(sigma, used, x, y):
         """Assign sigma[x] = y and close under the operation; False on
@@ -119,11 +119,10 @@ def _isomorphism(first, second, sig_first, sig_second, forced):
     return None
 
 
-def recognize_affine(quandle: CayleyQuandle,
-                     cap: int = RECOGNITION_CAP) -> AffineSpec | None:
+def recognize_affine(quandle: CayleyQuandle) -> AffineSpec | None:
     """The first spec in multiplier order whose quandle is isomorphic to
-    this one, or None.  Orders above the cap are not searched (analyze
-    reports 'not-checked').
+    this one, or None.  Orders above RECOGNITION_CAP are not searched
+    (analyze reports 'not-checked').
 
     Every translation x -> x + b is an automorphism of Aff(Z_m, t), so all
     its elements share one signature: the cycle type of x -> t x, with
@@ -132,10 +131,12 @@ def recognize_affine(quandle: CayleyQuandle,
     quandle, and a multiplier of another signature cannot match.  An
     isomorphism followed by the translation by -sigma(0) fixes 0, so each
     multiplier left costs one search with sigma(0) = 0 forced: four on a
-    relabelled Aff(Z_13, 11), one per unit of order 12, not twelve.
+    relabelled Aff(Z_13, 11), one per unit of order 12, not twelve.  Each
+    searches the closed-form rows t x + (1 - t) y, which are a quandle for
+    every unit t, so no candidate table is validated.
     """
     m = quandle.order
-    if m > cap:
+    if m > RECOGNITION_CAP:
         return None
     signatures = [_element_signature(quandle, x) for x in range(m)]
     signature = signatures[0]
@@ -146,11 +147,10 @@ def recognize_affine(quandle: CayleyQuandle,
         times_t = Permutation._trusted([t * x % m for x in range(m)])
         if (cycle_structure(times_t), (d,) * (m // d)) != signature:
             continue
-        spec = AffineSpec(m, t)
+        rows = [[(t * x + (1 - t) * y) % m for y in range(m)] for x in range(m)]
         # every element of the target has the input's one signature
-        if _isomorphism(quandle, affine_quandle(spec), signatures, signatures,
-                        ((0, 0),)) is not None:
-            return spec
+        if _isomorphism(quandle.table, rows, signatures, signatures, ((0, 0),)) is not None:
+            return AffineSpec(m, t)
     return None
 
 

@@ -178,10 +178,11 @@ class AffineSpec:
     The multiplier is normalized mod m and must be a unit.  The quandle is
     connected exactly when 1 - t is also a unit.
 
-    affine_quandle is memoised on the spec (perms._memoised), outside its
-    fields, so equality, hashing and repr see (m, t) only.  Through that
-    quandle every caller holding this spec object shares one inner group,
-    one class split and one tensor square; an equal spec builds its own."""
+    affine_quandle and inner.presentation are memoised on the spec
+    (perms._memoised), outside its fields, so equality, hashing and repr
+    see (m, t) only.  Through that quandle every caller holding this spec
+    object shares one inner group, one class split and one tensor square;
+    an equal spec builds its own."""
 
     modulus: int
     multiplier: int
@@ -251,12 +252,12 @@ def is_latin(q: CayleyQuandle) -> bool:
     return all(len(set(row)) == n for row in q.table)
 
 
-def is_fixed_point_free(perm: Permutation, base_point: int = 0) -> bool:
-    """True when perm fixes nothing outside the base point, the relevant
-    notion for a group automorphism (which always fixes the identity).
-    For an affine quandle this holds for the translation R_0 exactly when
-    the quandle is latin."""
-    return all(y != x for x, y in enumerate(perm.images) if x != base_point)
+def is_fixed_point_free(perm: Permutation) -> bool:
+    """True when perm fixes no point but 0, the relevant notion for a group
+    automorphism (which always fixes the identity, 0).  For an affine
+    quandle this holds for the translation R_0 exactly when the quandle is
+    latin."""
+    return all(y != x for x, y in enumerate(perm.images) if x)
 
 
 def coset_quandle(group, subgroup_generators, automorphism) -> CayleyQuandle:

@@ -46,36 +46,11 @@ from .perms import (
     _locate,
     _orbit_labels,
 )
-from .tensor import TensorSquare, tensor_square
+from .tensor import tensor_square
 
 
 class NotConnected(Exception):
     pass
-
-
-@dataclass(frozen=True, eq=False)
-class OrbitalMatrixSet:
-    """One 0/1 integer matrix per tensor class; entry (x, y) is set when
-    the pair (x, y) lies in the class.  The class of (0, 0) comes first.
-
-    The matrices have disjoint supports and sum to the all-ones matrix,
-    and each commutes with every permutation matrix of the inner group.
-    """
-
-    tensor: TensorSquare
-    matrices: tuple[np.ndarray, ...]
-
-    def __len__(self) -> int:
-        return len(self.matrices)
-
-
-def orbital_matrices(quandle: CayleyQuandle) -> OrbitalMatrixSet:
-    """Indicator matrices of the tensor classes, in class order."""
-    ts = tensor_square(quandle)
-    n = quandle.order
-    grid = ts.labels.reshape(n, n)
-    stack = (grid == np.arange(len(ts))[:, None, None]).astype(np.int64)
-    return OrbitalMatrixSet(tensor=ts, matrices=tuple(stack))
 
 
 @dataclass(frozen=True)
@@ -156,16 +131,6 @@ def is_multiplicity_free(quandle: CayleyQuandle) -> MultiplicityFreeResult:
     return MultiplicityFreeResult(False, witness, rank)
 
 
-def symmetric_orbital_shortcut(quandle: CayleyQuandle) -> bool:
-    """True when every orbital matrix is symmetric, i.e. every tensor class
-    is its own swap image.  Sufficient for multiplicity-freeness, never
-    necessary."""
-    if not is_connected(quandle):
-        raise NotConnected("shortcut applies to connected quandles")
-    ts = tensor_square(quandle)
-    return np.array_equal(ts._partners(), np.arange(len(ts)))
-
-
 @dataclass(frozen=True, eq=False, kw_only=True)
 class DoubleCosetPartition(Partition):
     """Partition of a group into double cosets K g K of a subgroup K, one
@@ -179,9 +144,6 @@ class DoubleCosetPartition(Partition):
     @cached_property
     def cosets(self) -> tuple[tuple[int, ...], ...]:
         return self.blocks(range(len(self.labels)))
-
-    def members(self, index: int) -> tuple[Permutation, ...]:
-        return tuple(self.group.elements[i] for i in self.cosets[index])
 
     @property
     def representatives(self) -> tuple[Permutation, ...]:

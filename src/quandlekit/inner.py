@@ -10,7 +10,7 @@ elements: the translation x -> x + (1 - t) and the scaling x -> t x, with
 scaling * translation * scaling^-1 == translation^t.  Every inner
 automorphism is an affine map x -> t^i x + j (1 - t); the pair (i, j) is
 its normal form, read in application order (scale i times, then shift j
-times).
+times).  The verified presentation is memoised on its spec.
 """
 
 from __future__ import annotations
@@ -58,34 +58,25 @@ def is_connected(q: CayleyQuandle) -> bool:
 
 @dataclass(frozen=True)
 class InnerPresentation:
-    """Verified two-generator data for Inn of a connected affine quandle."""
+    """Verified two-generator data for Inn of the connected affine quandle
+    (modulus, multiplier); it holds numbers and permutations, not its spec,
+    so memoising it on the spec makes no cycle."""
 
-    spec: AffineSpec
+    modulus: int
+    multiplier: int
+    scaling_order: int        # n, the order of the multiplier
+    inverse_multiplier: int
     translation: Permutation  # x -> x + (1 - t), order m
     scaling: Permutation      # x -> t x, order n
 
-    @property
-    def modulus(self) -> int:
-        return self.spec.modulus
 
-    @property
-    def multiplier(self) -> int:
-        return self.spec.multiplier
-
-    @property
-    def scaling_order(self) -> int:
-        return self.spec.order_of_multiplier
-
-    @property
-    def inverse_multiplier(self) -> int:
-        return self.spec.inverse_multiplier
-
-
+@_memoised
 def presentation(spec: AffineSpec) -> InnerPresentation:
-    """Build and verify the presentation.  Checks that the translation is
-    the composite R_1 * R_0^(n-1), that the generator orders are m and n,
-    and that conjugating the translation by the scaling raises it to the
-    power t.  Raises RelationFailure if any check fails."""
+    """Build and verify the presentation, once per spec object (memoised on
+    it).  Checks that the translation is the composite R_1 * R_0^(n-1),
+    that the generator orders are m and n, and that conjugating the
+    translation by the scaling raises it to the power t.  Raises
+    RelationFailure if any check fails."""
     if not spec.is_connected_admissible:
         raise ValueError(f"(m={spec.modulus}, t={spec.multiplier}) is not connected")
     m, t = spec.modulus, spec.multiplier
@@ -102,7 +93,7 @@ def presentation(spec: AffineSpec) -> InnerPresentation:
         raise RelationFailure("scaling order is wrong")
     if scaling * translation * scaling.inverse() != translation ** t:
         raise RelationFailure("conjugation relation fails")
-    return InnerPresentation(spec=spec, translation=translation, scaling=scaling)
+    return InnerPresentation(m, t, n, spec.inverse_multiplier, translation, scaling)
 
 
 def element_from_normal_form(pres: InnerPresentation, i: int, j: int) -> Permutation:

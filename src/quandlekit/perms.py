@@ -460,10 +460,10 @@ def _greedy_generators(group: PermutationGroup,
     return E[chosen], left
 
 
-def orbits(group, domain=None) -> list[tuple[int, ...]]:
-    """Partition of the domain into orbits, each sorted, ordered by least
-    point.  ``group`` may be a PermutationGroup or an iterable of
-    generating permutations."""
+def orbits(group) -> list[tuple[int, ...]]:
+    """The orbits on 0..degree-1, each sorted, ordered by least point.
+    ``group`` may be a PermutationGroup or an iterable of generating
+    permutations."""
     if isinstance(group, PermutationGroup):
         maps = _greedy_generators(group, np.arange(len(group)))[0]
     else:
@@ -471,24 +471,8 @@ def orbits(group, domain=None) -> list[tuple[int, ...]]:
         if not gens:
             raise ValueError("need at least one permutation")
         maps = np.array([g.images for g in gens], dtype=np.intp)
-    degree = maps.shape[1]
-    if domain is None:
-        seeds = range(degree)
-    else:
-        seeds = sorted(set(int(x) for x in domain))
-        if seeds and (seeds[0] < 0 or seeds[-1] >= degree):
-            raise ValueError("domain points out of range")
     label = _orbit_labels(maps)
-    allowed = set(seeds)
-    out = []
-    # by least seed, which is the least point of an orbit inside the domain
-    for least in dict.fromkeys(label[list(seeds)].tolist()):
-        orbit = tuple(np.flatnonzero(label == least).tolist())
-        stray = [x for x in orbit if x not in allowed]
-        if stray:
-            raise ValueError(f"orbit escapes the given domain at {stray[0]}")
-        out.append(orbit)
-    return out
+    return [tuple(np.flatnonzero(label == least).tolist()) for least in np.unique(label).tolist()]
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)

@@ -200,14 +200,22 @@ def test_extension_rejects_exactly_the_bijections_that_are_not_automorphisms():
             if images in autos:
                 big, small = affine_extension(group, f)
                 assert len(big) == group.order * len(small), (moduli, images)
+                assert abelian_affine_quandle(group, f).order == group.order
             else:
-                with pytest.raises(NotAutomorphism, match=r"^not additive at \(\d+, \d+\)$"):
+                witness = r"^not additive at \(\d+, \d+\)$"
+                with pytest.raises(NotAutomorphism, match=witness) as by_extension:
                     affine_extension(group, f)
+                # the quandle construction makes the same check, same witness
+                with pytest.raises(NotAutomorphism) as by_quandle:
+                    abelian_affine_quandle(group, f)
+                assert str(by_quandle.value) == str(by_extension.value)
                 rejected += 1
         assert rejected == {(5,): 116, (2, 2): 18}[moduli]
     # swapping 1 and 2 in Z_5 first fails at f(1 + 1) = 1 != f(1) + f(1) = 4
-    with pytest.raises(NotAutomorphism, match=r"^not additive at \(1, 1\)$"):
-        affine_extension(AbelianGroup((5,)), Permutation((0, 2, 1, 3, 4)))
+    swap = Permutation((0, 2, 1, 3, 4))
+    for construction in (affine_extension, abelian_affine_quandle):
+        with pytest.raises(NotAutomorphism, match=r"^not additive at \(1, 1\)$"):
+            construction(AbelianGroup((5,)), swap)
 
 
 def test_inversion_pair_is_gelfand():

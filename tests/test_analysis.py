@@ -22,7 +22,7 @@ from quandlekit import (
     units,
     validate_quandle,
 )
-from quandlekit import analysis
+from quandlekit import analysis, cayley
 from quandlekit.analysis import RECOGNITION_CAP
 from conftest import MIXED_ORDER4, transposition_quandle
 
@@ -91,8 +91,7 @@ def test_recognize_affine_examples():
 def test_recognize_affine_respects_cap(order12):
     assert recognize_affine(order12) is None
     q = affine_quandle(AffineSpec(17, 2))
-    assert recognize_affine(q) is None  # above the default cap
-    assert recognize_affine(q, cap=17) == AffineSpec(17, 2)
+    assert recognize_affine(q) is None  # above the cap
 
 
 def _per_unit_search(quandle, cap=RECOGNITION_CAP):
@@ -149,7 +148,7 @@ def test_recognize_affine_searches_only_multipliers_of_the_input_signature(
     search = analysis._isomorphism
 
     def counted(first, second, sig_first, sig_second, forced):
-        calls.append((second.op(1, 0), tuple(forced)))
+        calls.append((second[1][0], tuple(forced)))
         return search(first, second, sig_first, sig_second, forced)
 
     monkeypatch.setattr(analysis, "_isomorphism", counted)
@@ -167,6 +166,23 @@ def test_recognize_affine_searches_only_multipliers_of_the_input_signature(
 
     calls.clear()
     assert recognize_affine(validate_quandle(MIXED_ORDER4)) is None
+    assert calls == []
+
+
+def test_recognize_affine_validates_no_candidate_table(monkeypatch):
+    """Candidates are closed-form rows: recognising a relabelled (13, 11)
+    table builds no quandle, where one per searched multiplier was built
+    and validated before."""
+    q = _shuffled(affine_quandle(AffineSpec(13, 11)), random.Random(1))
+    calls = []
+    checked = cayley._checked
+
+    def counted(table):
+        calls.append(len(table))
+        return checked(table)
+
+    monkeypatch.setattr(cayley, "_checked", counted)
+    assert recognize_affine(q) == AffineSpec(13, 11)
     assert calls == []
 
 

@@ -21,9 +21,8 @@ from quandlekit import (
     is_connected,
     is_gelfand_pair,
     is_multiplicity_free,
-    orbital_matrices,
     stabilizer,
-    symmetric_orbital_shortcut,
+    tau_quotient,
     tensor_square,
     trivial_quandle,
     validate_quandle,
@@ -38,9 +37,24 @@ from conftest import (
 )
 
 
+def _orbital_matrices(q):
+    """The 0/1 matrix of each tensor class, in class order: matrix i is
+    tensor_square(q).labels.reshape(n, n) == i."""
+    ts = tensor_square(q)
+    grid = ts.labels.reshape(q.order, q.order)
+    return (grid == np.arange(len(ts))[:, None, None]).astype(np.int64)
+
+
+def _every_class_is_its_own_swap(q):
+    """Every orbital matrix is symmetric: no tensor class merges with
+    another in the swap quotient."""
+    ts = tensor_square(q)
+    return len(tau_quotient(ts)) == len(ts)
+
+
 def test_orbital_matrices_partition_all_ones():
     q = affine_quandle(AffineSpec(13, 8))
-    mats = orbital_matrices(q).matrices
+    mats = _orbital_matrices(q)
     assert len(mats) == 4
     total = sum(mats)
     assert np.array_equal(total, np.ones((13, 13), dtype=np.int64))
@@ -51,7 +65,7 @@ def test_orbital_matrices_partition_all_ones():
 
 def test_orbital_matrices_of_disconnected_quandle():
     # the matrices themselves exist without connectivity
-    mats = orbital_matrices(trivial_quandle(2)).matrices
+    mats = _orbital_matrices(trivial_quandle(2))
     assert len(mats) == 4
     for m in mats:
         assert m.sum() == 1
@@ -60,7 +74,7 @@ def test_orbital_matrices_of_disconnected_quandle():
 def test_orbital_matrices_commute_with_group_action():
     q = affine_quandle(AffineSpec(13, 9))
     group = inner_group(q)
-    mats = orbital_matrices(q).matrices
+    mats = _orbital_matrices(q)
     for g in group.elements[:10]:
         perm = np.zeros((13, 13), dtype=np.int64)
         for x in range(13):
@@ -80,8 +94,6 @@ def test_multiplicity_free_affine_examples():
 def test_multiplicity_free_requires_connected():
     with pytest.raises(NotConnected):
         is_multiplicity_free(trivial_quandle(3))
-    with pytest.raises(NotConnected):
-        symmetric_orbital_shortcut(trivial_quandle(3))
 
 
 def test_order12_not_multiplicity_free(order12):
@@ -93,7 +105,7 @@ def test_order12_not_multiplicity_free(order12):
     assert w.left_value != w.right_value
     assert "do not commute" in w.describe()
     # the witness entry really differs in the two products
-    mats = orbital_matrices(order12).matrices
+    mats = _orbital_matrices(order12)
     left = mats[w.first] @ mats[w.second]
     right = mats[w.second] @ mats[w.first]
     assert left[w.row, w.column] == w.left_value
@@ -166,14 +178,14 @@ def test_multiplicity_free_matches_pairwise_reference(order12):
 def test_shortcut_implies_multiplicity_free():
     for spec in connected_affine_specs(13):
         q = affine_quandle(spec)
-        if symmetric_orbital_shortcut(q):
+        if _every_class_is_its_own_swap(q):
             assert bool(is_multiplicity_free(q)), spec
 
 
 def test_shortcut_is_parity_of_multiplier_order():
     # -1 lies in the multiplier subgroup exactly when the order is even
-    assert symmetric_orbital_shortcut(affine_quandle(AffineSpec(13, 8)))
-    assert not symmetric_orbital_shortcut(affine_quandle(AffineSpec(13, 9)))
+    assert _every_class_is_its_own_swap(affine_quandle(AffineSpec(13, 8)))
+    assert not _every_class_is_its_own_swap(affine_quandle(AffineSpec(13, 9)))
     assert bool(is_multiplicity_free(affine_quandle(AffineSpec(13, 9))))
 
 

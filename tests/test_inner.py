@@ -34,6 +34,7 @@ from quandlekit import (
     validate_quandle,
     verify_translation_class,
 )
+from quandlekit import inner
 from quandlekit.perms import _element_keys
 from conftest import connected_affine_specs
 
@@ -187,6 +188,36 @@ def test_presentation_small_and_composite():
     pres = presentation(AffineSpec(21, 11))
     assert pres.scaling_order == 6
     assert element_order(pres.translation) == 21
+
+
+def test_presentation_is_memoised_on_its_spec(monkeypatch):
+    """presentation(spec) and then decompose_prime_affine(spec), which reads
+    the presentation again, verify it once; R_1 is read once per check."""
+    calls = []
+    translate = inner.right_translation
+
+    def counted(q, y):
+        calls.append(y)
+        return translate(q, y)
+
+    monkeypatch.setattr(inner, "right_translation", counted)
+    spec = AffineSpec(13, 8)
+    pres = presentation(spec)
+    decompose_prime_affine(spec)
+    assert presentation(spec) is pres
+    assert calls == [1]
+    # an equal spec is a context of its own and verifies its own
+    assert presentation(AffineSpec(13, 8)) == pres
+    assert calls == [1, 1]
+    # the memo holds no reference back to the spec: with the cyclic
+    # collector disabled the presentation still dies with it
+    ref = weakref.ref(pres)
+    gc.disable()
+    try:
+        del spec, pres
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_presentation_rejects_disconnected_spec():

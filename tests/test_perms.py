@@ -277,9 +277,6 @@ def test_orbits_basics():
     g = inner_group(affine_quandle(AffineSpec(13, 8)))
     assert orbits(g) == [tuple(range(13))]
 
-    with pytest.raises(ValueError):
-        orbits([Permutation((1, 0, 2))], domain=[0])
-
 
 def test_orbits_of_a_group_built_from_its_images():
     """A group built from its image array alone has no generators to read;
@@ -289,12 +286,12 @@ def test_orbits_of_a_group_built_from_its_images():
     assert orbits(built) == orbits(s4) == [(0, 1, 2, 3)]
 
 
-def _reference_orbits(gens, seeds):
-    """Orbits by plain breadth-first search from each seed not yet reached,
-    in seed order, each sorted; ValueError when one leaves the seeds."""
+def _reference_orbits(gens):
+    """Orbits by plain breadth-first search from each point not yet
+    reached, in point order, each sorted."""
     seen = set()
     out = []
-    for start in seeds:
+    for start in range(gens[0].degree):
         if start in seen:
             continue
         orbit = {start}
@@ -309,10 +306,6 @@ def _reference_orbits(gens, seeds):
             frontier = fresh
         seen |= orbit
         out.append(tuple(sorted(orbit)))
-    for orbit in out:
-        stray = [x for x in orbit if x not in seeds]
-        if stray:
-            raise ValueError(f"orbit escapes the given domain at {stray[0]}")
     return out
 
 
@@ -324,22 +317,13 @@ def test_orbit_labels_match_plain_search(gens, data):
     if data.draw(st.booleans()):
         gens.insert(data.draw(st.integers(0, len(gens))), Permutation.identity(gens[0].degree))
     degree = gens[0].degree
-    reference = _reference_orbits(gens, list(range(degree)))
+    reference = _reference_orbits(gens)
     least = [next(o[0] for o in reference if x in o) for x in range(degree)]
     for dtype in (np.int32, np.intp):
         labels = _orbit_labels(np.array([g.images for g in gens], dtype=dtype))
         assert labels.dtype == dtype
         assert labels.tolist() == least
     assert orbits(gens) == reference
-
-    domain = sorted(data.draw(st.sets(st.integers(0, degree - 1))))
-    try:
-        expected = _reference_orbits(gens, domain)
-    except ValueError as exc:
-        with pytest.raises(ValueError, match=f"^{exc}$"):
-            orbits(gens, domain=domain)
-    else:
-        assert orbits(gens, domain=domain) == expected
 
 
 def test_conjugacy_classes_examples():
