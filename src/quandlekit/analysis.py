@@ -240,7 +240,7 @@ def analyze(
     decomposition = None
     if matched is not None:
         try:
-            decomposition = dict(sorted(decompose_prime_affine(matched).nonzero().items()))
+            decomposition = decompose_prime_affine(matched).nonzero()
         except BadParameters:
             pass
 

@@ -1,4 +1,4 @@
-"""Finite quandles as explicit Cayley tables.
+"""Finite quandles as explicit Cayley tables, each held as one read-only array.
 
 Tables are oriented so that table[x][y] = x > y (right action), hence the
 right translation by y is the column map x -> table[x][y].  Building a
@@ -18,7 +18,8 @@ from math import gcd
 import numpy as np
 
 from .modular import multiplicative_order
-from .perms import Permutation, _greedy_generators, _memoised, close_group
+from .perms import (_INTEGER, Permutation, PermutationRows, _element_keys, _greedy_generators,
+                    _locate, _memoised, _orbit_labels, close_group)
 
 _AXIOM_NAMES = {
     1: "idempotence",
@@ -59,32 +60,37 @@ class NotCentralized(QuandleError):
     pass
 
 
-@dataclass(frozen=True)
 class CayleyQuandle:
     """An n x n Cayley table over {0..n-1}, checked when built: an input
     that is not a quandle raises as validate_quandle documents.
 
-    ``table`` is the only field, so equality, hashing and repr see it
-    alone.  Beside it the quandle holds ``_array``, the table as a read-only
-    intp array, ``_prefix``, the k for which 0..k-1 generate the quandle,
-    and the objects memoised on it (perms._memoised): its inner group and
-    its tensor square.
+    The quandle holds ``_array``, its table as a read-only intp array, and
+    ``_prefix``, the k for which 0..k-1 generate it; equality and hashing
+    read the array.  ``table``, the same table as a tuple of int tuples, is
+    built on first read and memoised beside the array (perms._memoised), as
+    are the quandle's inner group and tensor square.
     """
 
-    table: tuple[tuple[int, ...], ...]
+    def __init__(self, table):
+        self._array, self._prefix = _checked(table)
 
-    def __post_init__(self):
-        array, prefix = _checked(self.table)
-        object.__setattr__(self, "table", tuple(map(tuple, array.tolist())))
-        object.__setattr__(self, "_array", array)
-        object.__setattr__(self, "_prefix", prefix)
+    @property
+    @_memoised
+    def table(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._array.tolist()))
 
     @property
     def order(self) -> int:
-        return len(self.table)
+        return len(self._array)
 
     def op(self, x: int, y: int) -> int:
-        return self.table[x][y]
+        return int(self._array[x, y])
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, CayleyQuandle) and np.array_equal(self._array, other._array)
+
+    def __hash__(self) -> int:
+        return hash(self._array.tobytes())
 
     def __repr__(self) -> str:
         return f"CayleyQuandle(order={self.order})"
@@ -134,16 +140,19 @@ def _checked(table) -> tuple[np.ndarray, int]:
     if n and table.shape == (n, n) and ((0 <= table) & (table < n)).all():
         T = table.astype(np.intp)
     else:
-        rows = tuple(tuple(map(int, row)) for row in table)
+        rows = tuple(map(tuple, table))
         n = len(rows)
         if n == 0:
             raise ValueError("empty table")
         for x, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {x} has length {len(row)}, expected {n}")
-            if min(row) < 0 or max(row) >= n:
-                y = next(y for y, v in enumerate(row) if not 0 <= v < n)
-                raise ValueError(f"entry at ({x}, {y}) is {row[y]}, outside 0..{n - 1}")
+            if not all(isinstance(v, _INTEGER) for v in row) or min(row) < 0 or max(row) >= n:
+                y, v = next((y, v) for y, v in enumerate(row)
+                            if not (isinstance(v, _INTEGER) and 0 <= v < n))
+                problem = (f"{v}, outside 0..{n - 1}" if isinstance(v, _INTEGER)
+                           else f"{v!r}, not an integer")
+                raise ValueError(f"entry at ({x}, {y}) is {problem}")
         T = np.array(rows, dtype=np.intp)
     points = np.arange(n)
     bad = np.flatnonzero(T[points, points] != points)
@@ -162,12 +171,12 @@ def _checked(table) -> tuple[np.ndarray, int]:
 def validate_quandle(table) -> CayleyQuandle:
     """The quandle of ``table``, a sequence of rows or an integer ndarray.
 
-    Checks shape, entry range and the three axioms.  Shape and range errors
-    raise ValueError naming the first offending row or entry in row-major
-    order; a failed axiom raises AxiomViolation with the first witness, in
-    axiom order.  Axiom 3 is checked at z < k (module docstring), over
-    blocks of x; only if that fails are all n columns scanned, for the first
-    witness (x, y, z)."""
+    Checks shape, entries (Python or numpy integers in 0..n-1) and the three
+    axioms.  Shape and entry errors raise ValueError naming the first
+    offending row or entry in row-major order; a failed axiom raises
+    AxiomViolation with the first witness, in axiom order.  Axiom 3 is
+    checked at z < k (module docstring), over blocks of x; only if that
+    fails are all n columns scanned, for the first witness (x, y, z)."""
     return CayleyQuandle(table)
 
 
@@ -242,14 +251,14 @@ def right_translation(q: CayleyQuandle, y: int) -> Permutation:
 
 def left_division(q: CayleyQuandle, x: int, y: int) -> int:
     """The unique z with z > y = x."""
-    col = [q.table[z][y] for z in range(q.order)]
-    return col.index(x)
+    if not (0 <= x < q.order and 0 <= y < q.order):
+        raise ValueError("element out of range")
+    return int((q._array[:, y] == x).argmax())
 
 
 def is_latin(q: CayleyQuandle) -> bool:
     """True when every row map x -> y > x is also a bijection."""
-    n = q.order
-    return all(len(set(row)) == n for row in q.table)
+    return bool((np.sort(q._array, axis=1) == np.arange(q.order)).all())
 
 
 def is_fixed_point_free(perm: Permutation) -> bool:
@@ -260,6 +269,15 @@ def is_fixed_point_free(perm: Permutation) -> bool:
     return all(y != x for x, y in enumerate(perm.images) if x)
 
 
+def _indices_of_all(group, perms, message: str) -> np.ndarray:
+    """Indices of ``perms`` in G by key lookup; NotAutomorphism(message) unless they are G."""
+    rows = [p.images for p in perms if isinstance(p, Permutation) and p.degree == group.degree]
+    index, found = _locate(group, np.array(rows, dtype=np.intp).reshape(-1, group.degree))
+    if not (len(rows) == len(perms) == len(group) == np.unique(index[found]).size):
+        raise NotAutomorphism(message)
+    return index
+
+
 def coset_quandle(group, subgroup_generators, automorphism) -> CayleyQuandle:
     """Quandle on the right cosets Hx of a permutation group G.
 
@@ -268,43 +286,31 @@ def coset_quandle(group, subgroup_generators, automorphism) -> CayleyQuandle:
     array, fixing the subgroup H generated by ``subgroup_generators``
     pointwise.  The operation is
     Hx > Hy = H phi(x y^-1) y.  Cosets are indexed by their least member.
+    Elements are located by G's key lookup (perms._locate): phi is an index
+    array and the cosets are the orbits of x -> h x.
     """
-    elements = set(group.elements)
-    if set(automorphism) != elements:
-        raise NotAutomorphism("map must be defined on exactly the group elements")
-    if set(automorphism.values()) != elements:
-        raise NotAutomorphism("map is not a bijection onto the group")
-    generators = _greedy_generators(group, np.arange(len(group)))[0]
-    for g in map(Permutation._trusted, generators.tolist()):
-        pg = automorphism[g]
-        for x in group.elements:
-            if automorphism[g * x] != pg * automorphism[x]:
-                raise NotAutomorphism(f"not multiplicative at ({g!r}, {x!r})")
+    E, keys, elements = group.images, _element_keys(group), PermutationRows(group.images)
+    base = keys.base_length
+    source = _indices_of_all(group, automorphism,
+                             "map must be defined on exactly the group elements")
+    target = _indices_of_all(group, automorphism.values(), "map is not a bijection onto the group")
+    phi = target[np.argsort(source)]
+    left = _greedy_generators(group, np.arange(len(E)))[1]
+    # phi(g x) against phi(g) phi(x) at each generator g (g times the identity) and every x
+    bad = phi[left] != keys.lookup(E[phi[left[:, :1, None]], E[phi, :base]])
+    if bad.any():
+        g, x = np.unravel_index(bad.argmax(), bad.shape)
+        raise NotAutomorphism(f"not multiplicative at ({elements[left[g, 0]]!r}, {elements[x]!r})")
     sub_gens = tuple(subgroup_generators)
-    for h in sub_gens:
-        if h not in group:
-            raise ValueError("subgroup generator outside the group")
-    if sub_gens:
-        subgroup = close_group(sub_gens)
-        members = subgroup.elements
-    else:
-        members = (group.identity(),)
-    for h in members:
-        if automorphism[h] != h:
-            raise NotCentralized(f"map moves subgroup element {h!r}")
-
-    coset_index: dict[tuple, int] = {}
-    reps: list[Permutation] = []
-    for g in group.elements:
-        if g.images in coset_index:
-            continue
-        coset = sorted((h * g for h in members), key=lambda p: p.images)
-        idx = len(reps)
-        reps.append(coset[0])
-        for member in coset:
-            coset_index[member.images] = idx
-
-    return validate_quandle([
-        [coset_index[(automorphism[xa * xb.inverse()] * xb).images] for xb in reps]
-        for xa in reps
-    ])
+    if not all(h in group for h in sub_gens):
+        raise ValueError("subgroup generator outside the group")
+    members = _locate(group, close_group(sub_gens).images)[0] if sub_gens else np.zeros(1, np.intp)
+    moved = members[phi[members] != members]
+    if moved.size:
+        raise NotCentralized(f"map moves subgroup element {elements[moved[0]]!r}")
+    label = _orbit_labels(_greedy_generators(group, members)[1])  # the least member of each Hx
+    reps, coset = np.unique(label, return_inverse=True)
+    R = E[reps]
+    # phi(x_a x_b^-1) x_b for all pairs (a, b) of coset representatives
+    quotient = phi[keys.lookup(R[:, np.argsort(R, axis=1)[:, :base]])]
+    return validate_quandle(coset[keys.lookup(E[quotient[:, :, None], R[:, :base]])])

@@ -223,7 +223,7 @@ def class_label(pres: InnerPresentation, g: Permutation) -> tuple:
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """Multiplicities of each irreducible in the regular quandle module,
-    keyed 'triv', 'lin:k', 'ind:k'."""
+    keyed and ordered 'triv', 'lin:k', 'ind:k', k ascending."""
 
     spec: AffineSpec
     multiplicities: dict[str, int]

@@ -86,17 +86,8 @@ def _yesno(value) -> str:
 
 
 def _decomposition_text(multiplicities: dict[str, int]) -> str:
-    def sort_key(item):
-        name = item[0]
-        if name == "triv":
-            return (0, 0)
-        kind, _, index = name.partition(":")
-        return (1 if kind == "lin" else 2, int(index))
-
-    parts = []
-    for name, count in sorted(multiplicities.items(), key=sort_key):
-        parts.append(name if count == 1 else f"{count}*{name}")
-    return " + ".join(parts)
+    return " + ".join(name if count == 1 else f"{count}*{name}"
+                      for name, count in multiplicities.items())
 
 
 def _write_json(target: str, payload: dict) -> None:

@@ -78,10 +78,11 @@ class Permutation:
     __slots__ = ("images",)
 
     def __init__(self, images):
-        images = tuple(int(x) for x in images)
-        if sorted(images) != list(range(len(images))):
+        images = tuple(images)
+        if not (all(isinstance(x, _INTEGER) for x in images)
+                and sorted(images) == list(range(len(images)))):
             raise ValueError("images must list each of 0..n-1 exactly once")
-        self.images = images
+        self.images = tuple(map(int, images))
 
     @classmethod
     def _trusted(cls, images) -> "Permutation":
@@ -102,6 +103,8 @@ class Permutation:
         for cycle in cycles:
             cycle = list(cycle)
             for a in cycle:
+                if not 0 <= a < degree:
+                    raise ValueError(f"point {a} outside 0..{degree - 1}")
                 if a in seen:
                     raise ValueError(f"point {a} appears in two cycles")
                 seen.add(a)
@@ -299,6 +302,7 @@ def _dtype_for(degree: int):
 
 
 _KEY_LIMIT = 1 << 63
+_INTEGER = (int, np.integer)  # the types of an image or of a Cayley table entry
 
 # Products formed or located per step by close_group, the Cayley index
 # table and is_gelfand_pair; bounds the rows and keys held at once.

@@ -69,10 +69,8 @@ def parse_table(text: str, *, one_indexed: bool = False,
 
 def format_table(q: CayleyQuandle, *, one_indexed: bool = False) -> str:
     offset = 1 if one_indexed else 0
-    lines = [str(q.order)]
-    for row in q.table:
-        lines.append(" ".join(str(v + offset) for v in row))
-    return "\n".join(lines) + "\n"
+    rows = [" ".join(map(str, row)) for row in (q._array + offset).tolist()]
+    return "\n".join([str(q.order), *rows]) + "\n"
 
 
 def load_table(path, *, one_indexed: bool = False,

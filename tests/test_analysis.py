@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from unittest import mock
 
 import pytest
 
@@ -22,7 +23,7 @@ from quandlekit import (
     units,
     validate_quandle,
 )
-from quandlekit import analysis, cayley
+from quandlekit import analysis, cayley, cli
 from quandlekit.analysis import RECOGNITION_CAP
 from conftest import MIXED_ORDER4, transposition_quandle
 
@@ -297,3 +298,30 @@ def test_analyze_transposition_class_of_s8():
     point_stabilizer = inner.stabilizer(0)
     assert (inner.order(), point_stabilizer.order(), len(point_stabilizer.orbits())) == (
         40320, 1440, 3)
+
+
+def test_report_and_scan_never_build_the_tuple_view(capsys):
+    """A quandle's rows as tuples are built only when ``table`` is read; the
+    report on a spec and the census read the array alone."""
+    reads = []
+    view = property(lambda q: reads.append(q.order) or q._array.tolist())
+    spec = AffineSpec(31, 2)
+    q = affine_quandle(spec)
+    with mock.patch.object(cayley.CayleyQuandle, "table", view):
+        analyze(q, spec=spec)
+        assert cli.main(["scan", "--max-order", "13"]) == 0
+    assert reads == []
+    assert "_table" not in vars(q)
+    assert q.table is q.table and "_table" in vars(q)
+
+
+def test_decomposition_keeps_the_order_of_the_irreducibles(capsys):
+    """triv, then lin:k and ind:k by ascending k, as decompose_prime_affine
+    lists them; the text is written in that order, not sorted again."""
+    spec = AffineSpec(31, 2)
+    report = analyze(affine_quandle(spec), spec=spec)
+    assert list(report.decomposition) == ["triv", "ind:1", "ind:3", "ind:5", "ind:7", "ind:11",
+                                          "ind:15"]
+    assert cli.main(["analyze", "--affine", "31", "2"]) == 0
+    assert "decomposition:       triv + ind:1 + ind:3 + ind:5 + ind:7 + ind:11 + ind:15\n" in (
+        capsys.readouterr().out)

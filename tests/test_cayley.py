@@ -37,6 +37,7 @@ from quandlekit import (
     validate_quandle,
 )
 from quandlekit import cayley
+from quandlekit.perms import _greedy_generators
 
 
 def test_singleton_table_is_valid():
@@ -162,6 +163,13 @@ def test_left_division_round_trip():
             assert q.op(left_division(q, x, y), y) == x
 
 
+def test_left_division_rejects_elements_out_of_range():
+    q = affine_quandle(AffineSpec(7, 3))
+    for x, y in ((0, 7), (7, 1), (-1, 0), (0, -1)):
+        with pytest.raises(ValueError, match="^element out of range$"):
+            left_division(q, x, y)
+
+
 def test_latin_examples():
     assert is_latin(affine_quandle(AffineSpec(13, 8)))
     assert is_latin(affine_quandle(AffineSpec(5, 4)))
@@ -273,6 +281,116 @@ def test_coset_quandle_rejects_uncentralized_subgroup():
     auto = {g: b * g * b for g in group.elements}
     with pytest.raises(NotCentralized):
         coset_quandle(group, [a], auto)
+
+
+def _dict_coset_quandle(group, subgroup_generators, automorphism):
+    """coset_quandle as it was before it located elements by key lookup:
+    a set of the elements, a dict from image tuples to cosets and one
+    Permutation product per pair of coset representatives."""
+    elements = set(group.elements)
+    if set(automorphism) != elements:
+        raise NotAutomorphism("map must be defined on exactly the group elements")
+    if set(automorphism.values()) != elements:
+        raise NotAutomorphism("map is not a bijection onto the group")
+    generators = _greedy_generators(group, np.arange(len(group)))[0]
+    for g in map(Permutation._trusted, generators.tolist()):
+        pg = automorphism[g]
+        for x in group.elements:
+            if automorphism[g * x] != pg * automorphism[x]:
+                raise NotAutomorphism(f"not multiplicative at ({g!r}, {x!r})")
+    sub_gens = tuple(subgroup_generators)
+    for h in sub_gens:
+        if h not in group:
+            raise ValueError("subgroup generator outside the group")
+    members = close_group(sub_gens).elements if sub_gens else (group.identity(),)
+    for h in members:
+        if automorphism[h] != h:
+            raise NotCentralized(f"map moves subgroup element {h!r}")
+    coset_index: dict[tuple, int] = {}
+    reps: list[Permutation] = []
+    for g in group.elements:
+        if g.images in coset_index:
+            continue
+        coset = sorted((h * g for h in members), key=lambda p: p.images)
+        reps.append(coset[0])
+        for member in coset:
+            coset_index[member.images] = len(reps) - 1
+    return validate_quandle([
+        [coset_index[(automorphism[xa * xb.inverse()] * xb).images] for xb in reps]
+        for xa in reps
+    ])
+
+
+def _coset_cases():
+    """(group, subgroup generators, map) on S3, S4 and S5: conjugation by
+    five elements each, with four subgroups of the centralizer and one
+    subgroup it moves; then maps that are no automorphism, a partial map,
+    a map onto too few elements, a stray key and a generator outside G."""
+    for m in (3, 4, 5):
+        group = close_group([Permutation.from_cycles(m, [tuple(range(m))]),
+                             Permutation.from_cycles(m, [(0, 1)])])
+        elements = group.elements
+        for c in elements[:: len(elements) // 5][:5]:
+            auto = {g: c * g * c.inverse() for g in elements}
+            central = [g for g in elements if g * c == c * g]
+            moved = next((g for g in elements if auto[g] != g), c)
+            for gens in ([], [c], central[-1:], central[1:3], [moved]):
+                yield group, gens, auto
+        swap = {g: g for g in elements}
+        swap[elements[1]], swap[elements[-1]] = elements[-1], elements[1]
+        yield group, [], swap
+        yield group, [], {g: g.inverse() for g in elements}
+        yield group, [], dict(list(swap.items())[1:])
+        yield group, [], {g: elements[0] if g == elements[1] else g for g in elements}
+        yield group, [], {**{g: g for g in elements[1:]}, "identity": elements[0]}
+        yield group, [Permutation.from_cycles(m + 1, [(0, m)])], {g: g for g in elements}
+
+
+def _coset_outcome(build, case):
+    try:
+        return build(*case)._array.tolist()
+    except Exception as exc:  # the reference's exceptions are the contract
+        return type(exc).__name__, str(exc)
+
+
+def test_coset_quandle_matches_the_dict_construction():
+    outcomes = [(_coset_outcome(coset_quandle, case), _coset_outcome(_dict_coset_quandle, case))
+                for case in _coset_cases()]
+    assert [got for got, _ in outcomes] == [want for _, want in outcomes]
+    kinds = [want[0] if isinstance(want, tuple) else "table" for _, want in outcomes]
+    assert {kind: kinds.count(kind) for kind in set(kinds)} == {
+        "table": 63, "NotCentralized": 12, "NotAutomorphism": 15, "ValueError": 3}
+
+
+def test_quandle_is_its_array():
+    """A list and an integer array of one table give equal quandles with
+    equal hashes; a quandle equals no other kind of object, and its table
+    cannot be assigned."""
+    rows = [list(row) for row in affine_quandle(AffineSpec(7, 3)).table]
+    listed, held = validate_quandle(rows), validate_quandle(np.array(rows, dtype=np.uint8))
+    assert listed == held and hash(listed) == hash(held)
+    assert listed != validate_quandle(affine_quandle(AffineSpec(7, 5))._array)
+    for other in (rows, listed.table, listed._array, "quandle", None):
+        assert listed != other and not listed == other
+    with pytest.raises(AttributeError):
+        listed.table = ((0,),)
+    assert listed.table == tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize(
+    "table, pattern",
+    [
+        ([[0.0, 0.9], [1.7, 1.2]], r"entry at \(0, 0\) is 0\.0, not an integer"),
+        ([[0, 1.0], [1, 1]], r"entry at \(0, 1\) is 1\.0, not an integer"),
+        ([[0, 9, 0.5], [1, 1, 1], [2, 2, 2]], r"entry at \(0, 1\) is 9, outside 0\.\.2"),
+        ([[0, 0, 0], [1, 1, "1"], [2, 2, 2]], r"entry at \(1, 2\) is '1', not an integer"),
+        # the repr of a numpy float differs between numpy 1 and 2
+        (np.array([[0.0, 0.0], [1.0, 1.0]]), r"entry at \(0, 0\) is \S*0\.0\)?, not an integer"),
+    ],
+)
+def test_validate_rejects_entries_that_are_not_integers(table, pattern):
+    with pytest.raises(ValueError, match=f"^{pattern}$"):
+        validate_quandle(table)
 
 
 def test_table_is_stored_as_tuples():

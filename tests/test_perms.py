@@ -115,6 +115,20 @@ def test_from_cycles_and_back():
     assert p.cycles() == ((0, 1), (2, 3, 4))
 
 
+def test_from_cycles_rejects_points_outside_the_degree():
+    for cycle, point in (((0, 5), 5), ((0, -1), -1), ((3, 0, 1), 3)):
+        with pytest.raises(ValueError, match=f"^point {point} outside 0..2$"):
+            Permutation.from_cycles(3, [cycle])
+
+
+def test_permutation_rejects_images_that_are_not_integers():
+    for images in ([0.5, 1.2], [0.0, 1.0], np.array([1.0, 0.0]), ["1", "0"]):
+        with pytest.raises(ValueError, match="^images must list each of 0..n-1 exactly once$"):
+            Permutation(images)
+    assert Permutation(np.array([1, 0], dtype=np.uint8)).images == (1, 0)
+    assert {type(x) for x in Permutation(np.array([2, 0, 1])).images} == {int}
+
+
 def test_power_and_inverse():
     p = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
     assert p ** 6 == Permutation.identity(6)
