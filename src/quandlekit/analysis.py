@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 from math import gcd
 
 from . import __version__
-from .cayley import AffineSpec, CayleyQuandle, is_latin, right_translation
+from .cayley import AffineSpec, CayleyQuandle, affine_quandle, is_latin, right_translation
 from .characters import BadParameters, burnside_rank, decompose_prime_affine
 from .gelfand import is_gelfand_pair, is_multiplicity_free
 from .inner import inner_group, is_connected
@@ -199,11 +199,13 @@ def analyze(
 ) -> AnalysisReport:
     """Run the full pipeline on one quandle.
 
-    When the quandle came from an affine spec, pass it so the report can
-    skip recognition.  A connected prime affine input, given or recognized,
-    gets the decomposition of its module into irreducibles with exact
-    integer multiplicities (decompose_prime_affine).
+    Pass the spec the quandle came from, if any, to skip recognition; a
+    spec of another quandle raises ValueError.  A connected prime affine
+    input, given or recognized, gets its module's decomposition into
+    irreducibles with exact integer multiplicities (decompose_prime_affine).
     """
+    if spec is not None and affine_quandle(spec) is not quandle and affine_quandle(spec) != quandle:
+        raise ValueError(f"{spec} does not describe the quandle")
     order = quandle.order
     group = inner_group(quandle)
     connected = is_connected(quandle)

@@ -18,8 +18,8 @@ from math import gcd
 import numpy as np
 
 from .modular import multiplicative_order
-from .perms import (_INTEGER, Permutation, PermutationRows, _element_keys, _greedy_generators,
-                    _locate, _memoised, _orbit_labels, close_group)
+from .perms import (Permutation, PermutationRows, _element_keys, _greedy_generators,
+                    _integers, _locate, _memoised, _orbit_labels, close_group)
 
 _AXIOM_NAMES = {
     1: "idempotence",
@@ -147,10 +147,10 @@ def _checked(table) -> tuple[np.ndarray, int]:
         for x, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"row {x} has length {len(row)}, expected {n}")
-            if not all(isinstance(v, _INTEGER) for v in row) or min(row) < 0 or max(row) >= n:
+            if not _integers(row) or min(row) < 0 or max(row) >= n:
                 y, v = next((y, v) for y, v in enumerate(row)
-                            if not (isinstance(v, _INTEGER) and 0 <= v < n))
-                problem = (f"{v}, outside 0..{n - 1}" if isinstance(v, _INTEGER)
+                            if not (_integers([v]) and 0 <= v < n))
+                problem = (f"{v}, outside 0..{n - 1}" if _integers([v])
                            else f"{v!r}, not an integer")
                 raise ValueError(f"entry at ({x}, {y}) is {problem}")
         T = np.array(rows, dtype=np.intp)
@@ -171,9 +171,9 @@ def _checked(table) -> tuple[np.ndarray, int]:
 def validate_quandle(table) -> CayleyQuandle:
     """The quandle of ``table``, a sequence of rows or an integer ndarray.
 
-    Checks shape, entries (Python or numpy integers in 0..n-1) and the three
-    axioms.  Shape and entry errors raise ValueError naming the first
-    offending row or entry in row-major order; a failed axiom raises
+    Checks shape, entries (Python or numpy integers in 0..n-1, not bools)
+    and the three axioms.  Shape and entry errors raise ValueError naming
+    the first offending row or entry in row-major order; a failed axiom raises
     AxiomViolation with the first witness, in axiom order.  Axiom 3 is
     checked at z < k (module docstring), over blocks of x; only if that
     fails are all n columns scanned, for the first witness (x, y, z)."""

@@ -16,12 +16,8 @@ by conjugation and of K x K by multiplication on both sides, so both are
 split by maps built from a greedy generating set S, |S| <= log2 |K|: the
 last member of K outside <S> joins S until |K| / |<S>| is 1 or prime.
 
-close_group prunes redundant generators as in Dimino's algorithm (Holt,
-Eick and O'Brien, Handbook of Computational Group Theory, 2005, 4.1): a
-generator already in the closure built so far adds nothing and is
-skipped, so the breadth-first closure multiplies only by the generators
-it needs.  Of the m right translations of a connected affine quandle of
-order m, only R_0 and R_1 are kept.
+close_group lists a group in one breadth-first pass from the identity
+under left multiplication by the distinct non-identity generators.
 
 Elements are located by their images on a prefix base; these keys
 (_ElementKeys) are the group's only index.  Because the image rows are
@@ -79,8 +75,7 @@ class Permutation:
 
     def __init__(self, images):
         images = tuple(images)
-        if not (all(isinstance(x, _INTEGER) for x in images)
-                and sorted(images) == list(range(len(images)))):
+        if not (_integers(images) and sorted(images) == list(range(len(images)))):
             raise ValueError("images must list each of 0..n-1 exactly once")
         self.images = tuple(map(int, images))
 
@@ -103,7 +98,7 @@ class Permutation:
         for cycle in cycles:
             cycle = list(cycle)
             for a in cycle:
-                if not 0 <= a < degree:
+                if not (_integers([a]) and 0 <= a < degree):
                     raise ValueError(f"point {a} outside 0..{degree - 1}")
                 if a in seen:
                     raise ValueError(f"point {a} appears in two cycles")
@@ -221,8 +216,8 @@ class PermutationGroup:
     as Permutation objects on first read.  Keys, classes and the Cayley
     index table are memoised on the group (_memoised).
 
-    Constructing one directly trusts that the image rows, given in any
-    order, are closed; use close_group to enumerate from generators.
+    Built directly, it checks that the rows (in any order) hold integers in
+    0..degree-1 and trusts them to be closed permutations; see close_group.
     """
 
     def __init__(self, images):
@@ -230,6 +225,9 @@ class PermutationGroup:
         if images.ndim != 2:
             raise ValueError("image rows must form a 2-D array")
         degree = images.shape[1]
+        if images.dtype.kind not in "iu" or (
+                images.size and not 0 <= images.min() <= images.max() < degree):
+            raise ValueError(f"image rows must hold integers in 0..{degree - 1}")
         images = images.astype(_dtype_for(degree), copy=False)[np.lexsort(images.T[::-1])]
         # the identity is the least permutation in lex order
         if not len(images) or np.any(images[0] != np.arange(degree)):
@@ -301,12 +299,20 @@ def _dtype_for(degree: int):
     return np.uint8 if degree <= 255 else np.uint16
 
 
+def _integers(values) -> bool:
+    """Whether every value is a Python or numpy integer, not a bool."""
+    types = set(map(type, values))
+    return bool not in types and all(issubclass(t, (int, np.integer)) for t in types)
+
+
 _KEY_LIMIT = 1 << 63
-_INTEGER = (int, np.integer)  # the types of an image or of a Cayley table entry
 
 # Products formed or located per step by close_group, the Cayley index
 # table and is_gelfand_pair; bounds the rows and keys held at once.
 _PRODUCT_CHUNK = 1 << 14
+
+# Most elements close_group lists before it raises GroupTooLarge.
+CLOSURE_CAP = 1_000_000
 
 
 class _ElementKeys:
@@ -372,15 +378,11 @@ def _locate(group: PermutationGroup, rows) -> tuple[np.ndarray, np.ndarray]:
     return index, np.all(group.images[index] == rows, axis=1)
 
 
-def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
-    """Enumerate the group generated by ``generators`` by breadth-first
-    closure under left multiplication, on the generators it needs only.
-
-    Generators are taken in the order given.  One that already lies in the
-    closure built so far is skipped; when one is kept, the closure is run
-    again from every element seen so far under all kept generators.  The
-    returned group keeps none of them.  The first block of at most
-    _PRODUCT_CHUNK products that passes ``cap`` raises GroupTooLarge."""
+def close_group(generators) -> PermutationGroup:
+    """The group generated by ``generators``, listed in one breadth-first pass
+    from the identity under left multiplication by the distinct non-identity
+    generators.  The first block of at most _PRODUCT_CHUNK products that
+    passes CLOSURE_CAP raises GroupTooLarge."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -389,32 +391,25 @@ def close_group(generators, *, cap: int = 1_000_000) -> PermutationGroup:
         raise ValueError("generators must share one degree")
     dt = _dtype_for(degree)
     width = degree * np.dtype(dt).itemsize
+    gen_arr = np.array(list(dict.fromkeys(g.images for g in gens)), dtype=dt)
+    gen_arr = gen_arr[(gen_arr != np.arange(degree)).any(axis=1)]
+    block = max(1, _PRODUCT_CHUNK // (len(gen_arr) or 1))
     seen = {np.arange(degree, dtype=dt).tobytes()}
-    kept = []
-    for g in gens:
-        key = np.array(g.images, dtype=dt).tobytes()
-        if key in seen:
-            continue
-        kept.append(g.images)
-        gen_arr = np.array(kept, dtype=dt)
-        block = max(1, _PRODUCT_CHUNK // len(kept))
-        queue = sorted(seen)
-        while queue:
-            F = np.frombuffer(b"".join(queue[:block]), dtype=dt).reshape(-1, degree)
-            del queue[:block]
-            products = gen_arr[:, F].tobytes()
-            rows = dict.fromkeys(
-                products[i : i + width] for i in range(0, len(products), width)
+    # the queue keeps first-seen order; set order varies with the per-process hash
+    queue = list(seen)
+    while queue:
+        F = np.frombuffer(b"".join(queue[:block]), dtype=dt).reshape(-1, degree)
+        del queue[:block]
+        products = gen_arr[:, F].tobytes()
+        rows = dict.fromkeys(products[i : i + width] for i in range(0, len(products), width))
+        fresh = [row for row in rows if row not in seen]
+        seen.update(fresh)
+        queue += fresh
+        if len(seen) > CLOSURE_CAP:
+            raise GroupTooLarge(
+                f"closure reached {len(seen)} elements, past the cap of {CLOSURE_CAP}"
             )
-            fresh = [row for row in rows if row not in seen]
-            seen.update(fresh)
-            queue += fresh
-            if len(seen) > cap:
-                raise GroupTooLarge(
-                    f"closure reached {len(seen)} elements, past the cap of {cap}"
-                )
-    E = np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree)
-    return PermutationGroup(E)
+    return PermutationGroup(np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree))
 
 
 def _orbit_labels(maps: np.ndarray) -> np.ndarray:
@@ -464,18 +459,9 @@ def _greedy_generators(group: PermutationGroup,
     return E[chosen], left
 
 
-def orbits(group) -> list[tuple[int, ...]]:
-    """The orbits on 0..degree-1, each sorted, ordered by least point.
-    ``group`` may be a PermutationGroup or an iterable of generating
-    permutations."""
-    if isinstance(group, PermutationGroup):
-        maps = _greedy_generators(group, np.arange(len(group)))[0]
-    else:
-        gens = tuple(group)
-        if not gens:
-            raise ValueError("need at least one permutation")
-        maps = np.array([g.images for g in gens], dtype=np.intp)
-    label = _orbit_labels(maps)
+def orbits(group: PermutationGroup) -> list[tuple[int, ...]]:
+    """The orbits on 0..degree-1, each sorted, ordered by least point."""
+    label = _orbit_labels(_greedy_generators(group, np.arange(len(group)))[0])
     return [tuple(np.flatnonzero(label == least).tolist()) for least in np.unique(label).tolist()]
 
 

@@ -1,5 +1,6 @@
 """The analysis pipeline, isomorphism search, and affine recognition."""
 
+import itertools
 import json
 import random
 import time
@@ -246,6 +247,24 @@ def test_analyze_disconnected_skips_module_questions():
     assert report.affine_status == "match"
     assert report.affine_multiplier == 1
     assert report.decomposition is None
+
+
+def test_analyze_refuses_a_spec_that_does_not_describe_the_quandle():
+    """A spec is trusted only when its quandle is the one analysed or equals
+    it; a relabelled table of the same spec is analysed without one."""
+    spec = AffineSpec(5, 2)
+    with pytest.raises(ValueError, match=r"^AffineSpec\(modulus=5, multiplier=2\) does not"):
+        analyze(trivial_quandle(5), spec=spec)
+    sigma = (0, 1, 3, 2, 4)  # fixes 0 and 1 but is not the identity: not affine
+    table = affine_quandle(spec).table
+    relabelled = [[0] * 5 for _ in range(5)]
+    for x, y in itertools.product(range(5), repeat=2):
+        relabelled[sigma[x]][sigma[y]] = sigma[table[x][y]]
+    with pytest.raises(ValueError, match="does not describe the quandle"):
+        analyze(validate_quandle(relabelled), spec=spec)
+    assert analyze(validate_quandle(relabelled)).affine_status == "match"
+    copy = validate_quandle(affine_quandle(spec).table)
+    assert analyze(copy, spec=spec).to_dict() == analyze(affine_quandle(spec), spec=spec).to_dict()
 
 
 def test_analyze_composite_affine():

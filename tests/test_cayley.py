@@ -393,6 +393,17 @@ def test_validate_rejects_entries_that_are_not_integers(table, pattern):
         validate_quandle(table)
 
 
+def test_validate_rejects_bool_entries_in_either_form():
+    """A bool is not a point, whether the table is rows of Python bools or
+    a numpy bool array: both forms of one table are refused at (0, 0)."""
+    rows = [[False, False], [True, True]]
+    with pytest.raises(ValueError, match=r"^entry at \(0, 0\) is False, not an integer$"):
+        validate_quandle(rows)
+    with pytest.raises(ValueError, match=r"^entry at \(0, 0\) is \S*False\S*, not an integer$"):
+        validate_quandle(np.array(rows))
+    assert validate_quandle(np.array(rows, dtype=np.uint8)) == trivial_quandle(2)
+
+
 def test_table_is_stored_as_tuples():
     q = CayleyQuandle([[0, 0], [1, 1]])
     assert isinstance(q.table, tuple)

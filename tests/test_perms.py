@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -129,6 +130,34 @@ def test_permutation_rejects_images_that_are_not_integers():
     assert {type(x) for x in Permutation(np.array([2, 0, 1])).images} == {int}
 
 
+def test_from_cycles_rejects_points_that_are_not_integers():
+    for point in (0.5, 1.0, "1", None):
+        with pytest.raises(ValueError, match=f"^point {re.escape(str(point))} outside 0..2$"):
+            Permutation.from_cycles(3, [(point, 1)])
+
+
+def test_a_bool_is_not_a_point():
+    for images in ([True, False], [np.True_, np.False_], [0, True, 2]):
+        with pytest.raises(ValueError, match="^images must list each of 0..n-1 exactly once$"):
+            Permutation(images)
+    for point in (True, np.True_):
+        with pytest.raises(ValueError, match="^point True outside 0..2$"):
+            Permutation.from_cycles(3, [(point, 2)])
+    with pytest.raises(ValueError, match=r"^image rows must hold integers in 0\.\.1$"):
+        PermutationGroup([[False, True], [True, False]])
+
+
+def test_permutation_group_rejects_rows_that_are_not_points():
+    """Rows are checked to hold integers in 0..degree-1 before the cast to
+    the narrow dtype, which would wrap 257 to 1 or truncate 1.5 to 1."""
+    for rows in ([[0, 1], [257, 256]], [[0, 1], [-1, 0]], [[0, 1], [1, 2]],
+                 np.array([[0.0, 1.0], [1.0, 0.0]]), [[0, 1], [1.5, 0]], [["0", "1"]]):
+        with pytest.raises(ValueError, match=r"^image rows must hold integers in 0\.\.1$"):
+            PermutationGroup(rows)
+    swap = PermutationGroup(np.array([[1, 0], [0, 1]], dtype=np.int64))
+    assert swap.images.dtype == np.uint8 and swap.images.tolist() == [[0, 1], [1, 0]]
+
+
 def test_power_and_inverse():
     p = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
     assert p ** 6 == Permutation.identity(6)
@@ -181,7 +210,8 @@ def test_close_group_cap():
     message = r"^closure reached (\d+) elements, past the cap of 1000$"
     for gens in ([cycle, swap], [Permutation.identity(9), cycle, cycle, swap]):
         with pytest.raises(GroupTooLarge, match=message) as exc:
-            close_group(gens, cap=1000)
+            with mock.patch.object(perms, "CLOSURE_CAP", 1000):
+                close_group(gens)
         assert 1000 < int(re.match(message, str(exc.value)).group(1)) <= 362880
 
 
@@ -192,7 +222,8 @@ def test_close_group_cap_is_checked_per_block():
     quandle = transposition_quandle(9)
     message = r"^closure reached (\d+) elements, past the cap of 20000$"
     with pytest.raises(GroupTooLarge, match=message) as exc:
-        close_group(inner_generators(quandle), cap=20_000)
+        with mock.patch.object(perms, "CLOSURE_CAP", 20_000):
+            close_group(inner_generators(quandle))
     assert int(re.match(message, str(exc.value)).group(1)) <= 20_000 + _PRODUCT_CHUNK
 
 
@@ -242,6 +273,82 @@ def test_close_group_matches_plain_closure(gens):
     group = close_group(gens)
     assert [p.images for p in group.elements] == _reference_closure(gens)
     assert group.images.tolist() == [list(p.images) for p in group.elements]
+
+
+def _dimino_close_group(generators, *, cap):
+    """A frozen copy of close_group before it closed in one pass: a
+    generator already in the closure built so far is skipped, and each kept
+    one re-seeds the closure from every element seen so far under all kept
+    generators (Dimino's pruning)."""
+    gens = tuple(generators)
+    degree = gens[0].degree
+    dt = perms._dtype_for(degree)
+    width = degree * np.dtype(dt).itemsize
+    seen = {np.arange(degree, dtype=dt).tobytes()}
+    kept = []
+    for g in gens:
+        key = np.array(g.images, dtype=dt).tobytes()
+        if key in seen:
+            continue
+        kept.append(g.images)
+        gen_arr = np.array(kept, dtype=dt)
+        block = max(1, _PRODUCT_CHUNK // len(kept))
+        queue = sorted(seen)
+        while queue:
+            F = np.frombuffer(b"".join(queue[:block]), dtype=dt).reshape(-1, degree)
+            del queue[:block]
+            products = gen_arr[:, F].tobytes()
+            rows = dict.fromkeys(
+                products[i : i + width] for i in range(0, len(products), width)
+            )
+            fresh = [row for row in rows if row not in seen]
+            seen.update(fresh)
+            queue += fresh
+            if len(seen) > cap:
+                raise GroupTooLarge(
+                    f"closure reached {len(seen)} elements, past the cap of {cap}"
+                )
+    E = np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree)
+    return PermutationGroup(E)
+
+
+def _prefix_generators(quandle):
+    """R_0..R_{k-1}, the translations inner_group closes from."""
+    return [Permutation._trusted(row) for row in quandle._array.T[: quandle._prefix].tolist()]
+
+
+def _closure_differential_lists():
+    yield from _padded_generator_lists()
+    for spec in connected_affine_specs(47):
+        yield _prefix_generators(affine_quandle(spec))
+    yield _prefix_generators(bundled_order12())
+    for degree in range(4, 9):
+        quandle = transposition_quandle(degree)
+        yield _prefix_generators(quandle)
+        yield inner_generators(quandle)
+
+
+def test_close_group_matches_the_dimino_closure():
+    """One breadth-first pass lists the group that the pruned, re-seeded
+    closure listed, on padded lists, every connected affine prefix of order
+    <= 47, the bundled table's prefix and the S_4..S_8 transposition classes
+    (prefixes and all translations)."""
+    count = 0
+    for gens in _closure_differential_lists():
+        new, old = close_group(gens), _dimino_close_group(gens, cap=perms.CLOSURE_CAP)
+        assert np.array_equal(new.images, old.images), [g.images for g in gens]
+        count += 1
+    assert count == 11 + 377 + 1 + 10
+
+
+def test_both_closures_stop_at_the_cap_on_s9():
+    gens = _prefix_generators(transposition_quandle(9))
+    message = r"^closure reached (\d+) elements, past the cap of 20000$"
+    with mock.patch.object(perms, "CLOSURE_CAP", 20_000):
+        with pytest.raises(GroupTooLarge, match=message):
+            close_group(gens)
+        with pytest.raises(GroupTooLarge, match=message):
+            _dimino_close_group(gens, cap=perms.CLOSURE_CAP)
 
 
 def _generator_lists(max_size):
@@ -337,7 +444,7 @@ def test_orbit_labels_match_plain_search(gens, data):
         labels = _orbit_labels(np.array([g.images for g in gens], dtype=dtype))
         assert labels.dtype == dtype
         assert labels.tolist() == least
-    assert orbits(gens) == reference
+    assert orbits(close_group(gens)) == reference
 
 
 def test_conjugacy_classes_examples():
