@@ -1,12 +1,15 @@
 """Finite quandles as explicit Cayley tables, each held as one read-only array.
 
 Tables are oriented so that table[x][y] = x > y (right action), hence the
-right translation by y is the column map x -> table[x][y].  Building a
-CayleyQuandle validates its table, checking axiom 3 only at z < k, where
-0..k-1 generate the quandle under >.  That suffices: if R_a and R_b are
-bijective endomorphisms, so is R_{a>b} = R_b R_a R_b^-1, so the z whose R_z
-is one form a subquandle, and holding 0..k-1 it holds every point.  The
-same identity puts every R_y in <R_0..R_{k-1}>, which is therefore Inn.
+right translation by y is the column map x -> table[x][y].  In a quandle
+R_{s>y} = R_y R_s R_y^-1, so the subquandle generated by S is the union of
+the orbits of S under <R_s : s in S>, a group that is then Inn.  Validation
+labels the orbits of R_0..R_{k-1}, k = 2, 4, ... (capped at n), until every
+least point is below k: then 0..k-1 generate, and the quandle is connected
+when every label is 0.  Axiom 3 is checked at z < k only.  On bijective
+columns that suffices: for bijective endomorphisms R_s and R_z, so are
+R_{R_s(z)} = R_s R_z R_s^-1 and R_{R_s^-1(z)} = R_s^-1 R_z R_s, so such z are
+closed under R_s and R_s^-1 for every such s; holding 0..k-1, they hold all.
 """
 
 from __future__ import annotations
@@ -64,15 +67,16 @@ class CayleyQuandle:
     """An n x n Cayley table over {0..n-1}, checked when built: an input
     that is not a quandle raises as validate_quandle documents.
 
-    The quandle holds ``_array``, its table as a read-only intp array, and
-    ``_prefix``, the k for which 0..k-1 generate it; equality and hashing
-    read the array.  ``table``, the same table as a tuple of int tuples, is
+    The quandle holds ``_array``, its table as a read-only intp array,
+    ``_prefix``, the k for which 0..k-1 generate it, and ``_connected``,
+    both found by validation (module docstring); equality and hashing read
+    the array.  ``table``, the same table as a tuple of int tuples, is
     built on first read and memoised beside the array (perms._memoised), as
     are the quandle's inner group and tensor square.
     """
 
     def __init__(self, table):
-        self._array, self._prefix = _checked(table)
+        self._array, self._prefix, self._connected = _checked(table)
 
     @property
     @_memoised
@@ -100,20 +104,16 @@ class CayleyQuandle:
 _AXIOM3_CHUNK = 1 << 14
 
 
-def _generating_prefix(T: np.ndarray) -> int:
+def _generating_prefix(T: np.ndarray) -> tuple[int, bool]:
     """The least k in 1, 2, 4, ... (capped at n) such that 0..k-1 generate
-    the quandle under >; one closure grows as k doubles."""
-    inside = np.zeros(len(T), dtype=bool)
-    k = 0
-    while not inside.all():
-        k = min(len(T), 2 * k or 1)
-        inside[:k] = True
-        size = 0
-        while size < np.count_nonzero(inside):
-            members = np.flatnonzero(inside)
-            size = members.size
-            inside[T[members][:, members]] = True
-    return k
+    the quandle, and whether it is connected (module docstring); R_0 fixes
+    0, so k = 1 only when n = 1."""
+    k = min(len(T), 2)
+    while True:
+        label = _orbit_labels(T.T[:k])
+        if label.max() < k:
+            return k, not label.any()
+        k = min(len(T), 2 * k)
 
 
 def _axiom3_witness(T: np.ndarray, k: int):
@@ -133,9 +133,9 @@ def _axiom3_witness(T: np.ndarray, k: int):
     return None
 
 
-def _checked(table) -> tuple[np.ndarray, int]:
-    """The table as a read-only intp array and its generating prefix k,
-    after the checks validate_quandle documents."""
+def _checked(table) -> tuple[np.ndarray, int, bool]:
+    """The table as a read-only intp array, its generating prefix k and
+    whether it is connected, after the checks validate_quandle documents."""
     n = len(table) if isinstance(table, np.ndarray) and table.dtype.kind in "iu" else 0
     if n and table.shape == (n, n) and ((0 <= table) & (table < n)).all():
         T = table.astype(np.intp)
@@ -161,11 +161,11 @@ def _checked(table) -> tuple[np.ndarray, int]:
     bad = np.flatnonzero((np.sort(T, axis=0) != points[:, None]).any(axis=0))
     if bad.size:
         raise AxiomViolation(2, (int(bad[0]),))
-    k = _generating_prefix(T)
+    k, connected = _generating_prefix(T)
     if _axiom3_witness(T, k) is not None:
         raise AxiomViolation(3, _axiom3_witness(T, n))
     T.flags.writeable = False
-    return T, k
+    return T, k, connected
 
 
 def validate_quandle(table) -> CayleyQuandle:
@@ -273,7 +273,8 @@ def _indices_of_all(group, perms, message: str) -> np.ndarray:
     """Indices of ``perms`` in G by key lookup; NotAutomorphism(message) unless they are G."""
     rows = [p.images for p in perms if isinstance(p, Permutation) and p.degree == group.degree]
     index, found = _locate(group, np.array(rows, dtype=np.intp).reshape(-1, group.degree))
-    if not (len(rows) == len(perms) == len(group) == np.unique(index[found]).size):
+    if not (len(rows) == len(perms) == len(group)
+            and np.bincount(index[found], minlength=len(group)).all()):
         raise NotAutomorphism(message)
     return index
 

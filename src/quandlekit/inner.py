@@ -23,7 +23,6 @@ from .perms import (
     Permutation,
     PermutationGroup,
     _memoised,
-    _orbit_labels,
     close_group,
     element_order,
 )
@@ -51,9 +50,9 @@ def inner_group(q: CayleyQuandle) -> PermutationGroup:
 
 
 def is_connected(q: CayleyQuandle) -> bool:
-    """True when the inner group acts transitively: every point's orbit
-    under R_0..R_{k-1}, which generate Inn (k the prefix), has least point 0."""
-    return not _orbit_labels(q._array.T[: q._prefix]).any()
+    """True when the inner group acts transitively, as validation found
+    from the orbits of R_0..R_{k-1} (cayley module docstring)."""
+    return q._connected
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Products compose like functions: (a * b)(x) = a(b(x)), so the right factor
 acts first.  A group is the lexsorted array of its elements' image rows
-and nothing else: its degree is the array's width, it keeps no generators,
-and every derived object (orbits, conjugacy classes, cosets) is read off
-the array, so it is reproducible across runs.  Permutation objects for
-its elements are built from that array on first read.
+and nothing else: its degree is the array's width, and every derived
+object (orbits, conjugacy classes, cosets) is read off the array, so it is
+reproducible across runs.  Permutation objects for its elements are built
+from that array on first read.
 
 Conjugacy classes here, the tensor square and the double cosets in
 gelfand are Partition subclasses: the block label of every element or
@@ -13,8 +13,10 @@ pair index, and the least index (the representative) and size of every
 block; Partition.blocks builds the member tuples only when they are read.
 Conjugacy classes and double cosets K g K are orbits, of G acting on itself
 by conjugation and of K x K by multiplication on both sides, so both are
-split by maps built from a greedy generating set S, |S| <= log2 |K|: the
-last member of K outside <S> joins S until |K| / |<S>| is 1 or prime.
+split by maps built from a generating set S of K.  For classes (and
+orbits) of a group close_group built, S is the generators it was closed
+from; otherwise S is greedy, |S| <= log2 |K|: the last member of K outside
+<S> joins S until |K| / |<S>| is 1 or prime.
 
 close_group lists a group in one breadth-first pass from the identity
 under left multiplication by the distinct non-identity generators.
@@ -101,7 +103,7 @@ class Permutation:
                 if not (_integers([a]) and 0 <= a < degree):
                     raise ValueError(f"point {a} outside 0..{degree - 1}")
                 if a in seen:
-                    raise ValueError(f"point {a} appears in two cycles")
+                    raise ValueError(f"point {a} appears more than once in the cycles")
                 seen.add(a)
             for a, b in zip(cycle, cycle[1:] + cycle[:1]):
                 images[a] = b
@@ -213,8 +215,9 @@ class PermutationGroup:
     """A finite permutation group held as ``images``, the read-only
     lexsorted (order, degree) array of its elements' image rows, indexed by
     _ElementKeys; the array is the group, and ``elements`` wraps its rows
-    as Permutation objects on first read.  Keys, classes and the Cayley
-    index table are memoised on the group (_memoised).
+    as Permutation objects on first read.  Keys, classes, the Cayley
+    index table and a generating set are memoised on the group (_memoised);
+    close_group stores the generators it closed the group from as that set.
 
     Built directly, it checks that the rows (in any order) hold integers in
     0..degree-1 and trusts them to be closed permutations; see close_group.
@@ -225,6 +228,8 @@ class PermutationGroup:
         if images.ndim != 2:
             raise ValueError("image rows must form a 2-D array")
         degree = images.shape[1]
+        if degree < 1:
+            raise ValueError(_DEGREE_ZERO)
         if images.dtype.kind not in "iu" or (
                 images.size and not 0 <= images.min() <= images.max() < degree):
             raise ValueError(f"image rows must hold integers in 0..{degree - 1}")
@@ -307,6 +312,8 @@ def _integers(values) -> bool:
 
 _KEY_LIMIT = 1 << 63
 
+_DEGREE_ZERO = "a permutation group needs degree >= 1"
+
 # Products formed or located per step by close_group, the Cayley index
 # table and is_gelfand_pair; bounds the rows and keys held at once.
 _PRODUCT_CHUNK = 1 << 14
@@ -339,9 +346,8 @@ class _ElementKeys:
         bound = 1
         for col in range(self.base_length):
             if bound * degree > _KEY_LIMIT:
-                levels = np.unique(key)
+                levels, key = np.unique(key, return_inverse=True)
                 self.folds[col] = levels
-                key = np.searchsorted(levels, key)
                 bound = len(levels)
             key = key * degree + images[:, col]
             bound *= degree
@@ -381,14 +387,17 @@ def _locate(group: PermutationGroup, rows) -> tuple[np.ndarray, np.ndarray]:
 def close_group(generators) -> PermutationGroup:
     """The group generated by ``generators``, listed in one breadth-first pass
     from the identity under left multiplication by the distinct non-identity
-    generators.  The first block of at most _PRODUCT_CHUNK products that
-    passes CLOSURE_CAP raises GroupTooLarge."""
+    generators, which it stores as the group's generating set
+    (_generating_rows).  The first block of at most _PRODUCT_CHUNK products
+    that passes CLOSURE_CAP raises GroupTooLarge."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
     degree = gens[0].degree
     if any(g.degree != degree for g in gens):
         raise ValueError("generators must share one degree")
+    if degree < 1:
+        raise ValueError(_DEGREE_ZERO)
     dt = _dtype_for(degree)
     width = degree * np.dtype(dt).itemsize
     gen_arr = np.array(list(dict.fromkeys(g.images for g in gens)), dtype=dt)
@@ -409,7 +418,10 @@ def close_group(generators) -> PermutationGroup:
             raise GroupTooLarge(
                 f"closure reached {len(seen)} elements, past the cap of {CLOSURE_CAP}"
             )
-    return PermutationGroup(np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree))
+    group = PermutationGroup(np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree))
+    gen_arr.flags.writeable = False
+    group.__dict__["_generating_rows"] = gen_arr  # the memo _generating_rows reads
+    return group
 
 
 def _orbit_labels(maps: np.ndarray) -> np.ndarray:
@@ -459,10 +471,20 @@ def _greedy_generators(group: PermutationGroup,
     return E[chosen], left
 
 
+@_memoised
+def _generating_rows(group: PermutationGroup) -> np.ndarray:
+    """Image rows of a generating set of G, read-only: those close_group
+    stored, else a greedy set (_greedy_generators); memoised on the group."""
+    rows = _greedy_generators(group, np.arange(len(group)))[0]
+    rows.flags.writeable = False
+    return rows
+
+
 def orbits(group: PermutationGroup) -> list[tuple[int, ...]]:
     """The orbits on 0..degree-1, each sorted, ordered by least point."""
-    label = _orbit_labels(_greedy_generators(group, np.arange(len(group)))[0])
-    return [tuple(np.flatnonzero(label == least).tolist()) for least in np.unique(label).tolist()]
+    label = _orbit_labels(_generating_rows(group))
+    least = np.flatnonzero(label == np.arange(group.degree))
+    return [tuple(np.flatnonzero(label == x).tolist()) for x in least.tolist()]
 
 
 @dataclass(frozen=True, eq=False, kw_only=True)
@@ -527,12 +549,12 @@ class ConjugacyClassSet(Partition):
 
 @_memoised
 def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
-    """Conjugacy classes as the orbits of conjugation by a greedy generating
-    set S of G, each labelled by its least index (_orbit_labels), from 2|S|
-    key lookups; memoised on the group.  The set holds the image array,
-    not the group: no cycle."""
+    """Conjugacy classes as the orbits of conjugation by the generating set
+    S of G (_generating_rows), each labelled by its least index
+    (_orbit_labels), from 2|S| key lookups; memoised on the group.  The set
+    holds the image array, not the group: no cycle."""
     E, keys = group.images, _element_keys(group)
-    rows = _greedy_generators(group, np.arange(len(E)))[0]
+    rows = _generating_rows(group)
     # x -> s x s^-1 as indices from base images; int32 halves them
     conjugation = np.empty((len(rows), len(E)), dtype=np.int32)
     for s, row in zip(rows, conjugation):

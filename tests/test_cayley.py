@@ -36,8 +36,10 @@ from quandlekit import (
     units,
     validate_quandle,
 )
-from quandlekit import cayley
-from quandlekit.perms import _greedy_generators
+from quandlekit import cayley, perms
+from quandlekit.abelian import abelian_types, automorphism_group, automorphism_permutations
+from quandlekit.perms import _greedy_generators, _orbit_labels, conjugacy_classes
+from conftest import transposition_quandle
 
 
 def test_singleton_table_is_valid():
@@ -620,3 +622,84 @@ def test_validate_array_shape_and_range_messages_match_triple_loop(table):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as exc:
         validate_quandle(np.array(table, dtype=np.int64))
     assert not isinstance(exc.value, AxiomViolation)
+
+
+def _closure_prefix(T):
+    """A frozen copy of _generating_prefix before the orbit criterion: the
+    least k in 1, 2, 4, ... (capped at n) such that 0..k-1 generate, by one
+    magma closure grown as k doubles."""
+    inside = np.zeros(len(T), dtype=bool)
+    k = 0
+    while not inside.all():
+        k = min(len(T), 2 * k or 1)
+        inside[:k] = True
+        size = 0
+        while size < np.count_nonzero(inside):
+            members = np.flatnonzero(inside)
+            size = members.size
+            inside[T[members][:, members]] = True
+    return k
+
+
+def _labelled_connectivity(q, k):
+    """A frozen copy of is_connected before validation decided it: every
+    point's orbit under R_0..R_{k-1} has least point 0."""
+    return not _orbit_labels(q._array.T[:k]).any()
+
+
+def _prefix_inputs():
+    """Every Aff(Z_m, t) with m <= 47, the bundled table, trivial (n <= 8)
+    and dihedral (n <= 15) quandles, x > y = f(x) + y - f(y) over every
+    abelian type of order <= 16 (every f, or one per class of Aut(A) when
+    |Aut(A)| > 200) and the transposition classes of S_3..S_9."""
+    for m in range(1, 48):
+        for t in units(m):
+            yield f"affine {m} {t}", affine_quandle(AffineSpec(m, t))
+    yield "bundled", bundled_order12()
+    for n in range(1, 9):
+        yield f"trivial {n}", trivial_quandle(n)
+    for n in range(1, 16):
+        yield f"dihedral {n}", dihedral_quandle(n)
+    for order in range(1, 17):
+        for moduli in abelian_types(order):
+            group = AbelianGroup(moduli)
+            maps = automorphism_permutations(group)
+            if len(maps) > 200:
+                maps = conjugacy_classes(automorphism_group(group)).representatives
+            for i, f in enumerate(maps):
+                yield f"abelian {moduli} {i}", abelian_affine_quandle(group, f)
+    for degree in range(3, 10):
+        yield f"transpositions {degree}", transposition_quandle(degree)
+
+
+def test_prefix_and_connectivity_match_the_closure_and_the_labelling():
+    seen = {}
+    for name, q in _prefix_inputs():
+        k = _closure_prefix(q._array)
+        assert (q._prefix, is_connected(q)) == (k, _labelled_connectivity(q, k)), name
+        kind = name.split()[0]
+        seen[kind, is_connected(q)] = seen.get((kind, is_connected(q)), 0) + 1
+    assert sum(seen.values()) == 1367
+    assert (seen["affine", True], seen["affine", False]) == (378, 318)
+    assert (seen["abelian", True], seen["abelian", False]) == (152, 488)
+    assert seen["dihedral", False] == seen["trivial", False] == seen["transpositions", True] == 7
+
+
+def test_is_connected_reads_what_validation_labelled(monkeypatch, order12):
+    """Validation labels the orbits of R_0..R_{k-1} once per tried k, from
+    k = 2; is_connected then runs no labelling."""
+    calls = []
+    labels = perms._orbit_labels
+
+    def counted(maps):
+        calls.append(len(maps))
+        return labels(maps)
+
+    monkeypatch.setattr(cayley, "_orbit_labels", counted)
+    monkeypatch.setattr(perms, "_orbit_labels", counted)
+    quandles = [affine_quandle(AffineSpec(13, 8)), affine_quandle(AffineSpec(9, 4)),
+                validate_quandle(order12.table), trivial_quandle(6), validate_quandle([[0]])]
+    assert calls == [2, 2, 4, 2, 4, 2, 4, 6, 1]
+    calls.clear()
+    assert [is_connected(q) for q in quandles] == [True, False, True, False, True]
+    assert calls == []

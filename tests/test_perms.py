@@ -122,6 +122,24 @@ def test_from_cycles_rejects_points_outside_the_degree():
             Permutation.from_cycles(3, [cycle])
 
 
+def test_from_cycles_rejects_a_point_repeated_in_one_cycle_or_across_two():
+    for cycles, point in (([(0, 0)], 0), ([(0, 1, 0)], 0), ([(0, 1), (2, 1)], 1)):
+        with pytest.raises(ValueError,
+                           match=f"^point {point} appears more than once in the cycles$"):
+            Permutation.from_cycles(3, cycles)
+
+
+def test_groups_of_degree_zero_are_rejected():
+    message = r"^a permutation group needs degree >= 1$"
+    with pytest.raises(ValueError, match=message):
+        close_group([Permutation.identity(0)])
+    with pytest.raises(ValueError, match=message):
+        PermutationGroup(np.zeros((1, 0), int))
+    with pytest.raises(ValueError, match=message):
+        PermutationGroup.from_elements([Permutation.identity(0)])
+    assert len(close_group([Permutation.identity(1)])) == 1
+
+
 def test_permutation_rejects_images_that_are_not_integers():
     for images in ([0.5, 1.2], [0.0, 1.0], np.array([1.0, 0.0]), ["1", "0"]):
         with pytest.raises(ValueError, match="^images must list each of 0..n-1 exactly once$"):
@@ -657,6 +675,32 @@ def test_greedy_generators_of_a_prime_order_subgroup_make_no_orbit_pass(monkeypa
             assert close_group([Permutation._trusted(rows[0].tolist())]) == small
             orders.add(element_order(f))
     assert orders == {2, 3, 5}
+
+
+def test_closed_group_keeps_its_generators_as_its_generating_rows():
+    """close_group stores its distinct non-identity generators, read-only
+    and apart from the group's array; a group built from an image array
+    falls back to a greedy set.  Classes and orbits come out the same."""
+    groups = [inner_group(affine_quandle(AffineSpec(m, t))) for m in (9, 12, 13) for t in units(m)]
+    s4_gens = [Permutation.from_cycles(4, [(0, 1, 2, 3)]), Permutation.identity(4),
+               Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])]
+    groups += [close_group(s4_gens), close_group([Permutation.identity(3)]),
+               close_group(_prefix_generators(bundled_order12()))]
+    for group in groups:
+        rows = perms._generating_rows(group)
+        assert not rows.flags.writeable and not np.shares_memory(rows, group.images)
+        assert rows.dtype == group.images.dtype
+        assert not (rows == np.arange(group.degree)).all(axis=1).any()
+        assert close_group([group.identity(), *map(Permutation._trusted, rows.tolist())]) == group
+        rebuilt = PermutationGroup(group.images)
+        greedy = _greedy_generators(rebuilt, np.arange(len(rebuilt)))[0]
+        assert np.array_equal(perms._generating_rows(rebuilt), greedy)
+        assert orbits(group) == orbits(rebuilt)
+        for attribute in ("labels", "starts", "counts"):
+            assert np.array_equal(getattr(conjugacy_classes(group), attribute),
+                                  getattr(conjugacy_classes(rebuilt), attribute))
+    assert perms._generating_rows(groups[-3]).tolist() == [[1, 2, 3, 0], [1, 0, 2, 3]]
+    assert perms._generating_rows(groups[-2]).shape == (0, 3)
 
 
 def _per_class_least(group):

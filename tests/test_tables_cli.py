@@ -368,6 +368,50 @@ def test_scripts_run(argv, line):
     assert line in proc.stdout
 
 
+_NO_MASKED_ARRAYS = """
+import contextlib, io, sys
+from quandlekit.abelian import AbelianGroup, affine_extension, automorphism_permutations
+from quandlekit.cayley import coset_quandle
+from quandlekit.cli import main
+from quandlekit.gelfand import double_cosets, is_gelfand_pair
+from quandlekit.perms import Permutation, _element_keys, close_group, orbits
+
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["analyze", "--affine", "13", "8"]) == 0
+    assert main(["analyze", "--bundled"]) == 0
+    assert main(["scan", "--max-order", "12"]) == 0
+group = AbelianGroup((2, 2, 7))
+for f in automorphism_permutations(group):
+    big, small = affine_extension(group, f)
+    if _element_keys(big).folds:
+        break
+assert list(_element_keys(big).folds) == [13]
+assert is_gelfand_pair(big, small, double_cosets(big, small))
+z5 = close_group([Permutation.from_cycles(5, [(0, 1, 2, 3, 4)])])
+assert coset_quandle(z5, [], {g: g * g for g in z5.elements}).order == 5
+assert orbits(z5) == [(0, 1, 2, 3, 4)]
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_pipeline_never_imports_masked_arrays():
+    """A bare np.unique imports numpy.ma (about 10 ms) inside the first
+    call that reaches it; analyze, scan, a folded-key Gelfand pair, a coset
+    quandle and orbits, in a fresh interpreter, leave it unimported."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    paths = [str(repo / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def _readme_command_lines():
     """The `quandlekit ...` lines of the README's "Command line" section
     that need no input file."""
