@@ -4,12 +4,14 @@ Tables are oriented so that table[x][y] = x > y (right action), hence the
 right translation by y is the column map x -> table[x][y].  In a quandle
 R_{s>y} = R_y R_s R_y^-1, so the subquandle generated by S is the union of
 the orbits of S under <R_s : s in S>, a group that is then Inn.  Validation
-labels the orbits of R_0..R_{k-1}, k = 2, 4, ... (capped at n), until every
-least point is below k: then 0..k-1 generate, and the quandle is connected
-when every label is 0.  Axiom 3 is checked at z < k only.  On bijective
+grows a generating set S from (0, 1): it labels the orbits of <R_s : s in S>
+and, while some orbit holds no point of S, adds the least points of the
+first |S| such orbits, so |S| at most doubles per labelling.  Once every
+orbit holds a point of S, S generates, and the quandle is connected when
+every label is 0.  Axiom 3 is checked at z in S only.  On bijective
 columns that suffices: for bijective endomorphisms R_s and R_z, so are
 R_{R_s(z)} = R_s R_z R_s^-1 and R_{R_s^-1(z)} = R_s^-1 R_z R_s, so such z are
-closed under R_s and R_s^-1 for every such s; holding 0..k-1, they hold all.
+closed under R_s and R_s^-1 for every such s; holding S, they hold all.
 """
 
 from __future__ import annotations
@@ -68,15 +70,15 @@ class CayleyQuandle:
     that is not a quandle raises as validate_quandle documents.
 
     The quandle holds ``_array``, its table as a read-only intp array,
-    ``_prefix``, the k for which 0..k-1 generate it, and ``_connected``,
-    both found by validation (module docstring); equality and hashing read
-    the array.  ``table``, the same table as a tuple of int tuples, is
-    built on first read and memoised beside the array (perms._memoised), as
-    are the quandle's inner group and tensor square.
+    ``_generators``, an ascending tuple of points that generate it, and
+    ``_connected``, both found by validation (module docstring); equality
+    and hashing read the array.  ``table``, the same table as a tuple of
+    int tuples, is built on first read and memoised beside the array
+    (perms._memoised), as are the quandle's inner group and tensor square.
     """
 
     def __init__(self, table):
-        self._array, self._prefix, self._connected = _checked(table)
+        self._array, self._generators, self._connected = _checked(table)
 
     @property
     @_memoised
@@ -104,24 +106,30 @@ class CayleyQuandle:
 _AXIOM3_CHUNK = 1 << 14
 
 
-def _generating_prefix(T: np.ndarray) -> tuple[int, bool]:
-    """The least k in 1, 2, 4, ... (capped at n) such that 0..k-1 generate
-    the quandle, and whether it is connected (module docstring); R_0 fixes
-    0, so k = 1 only when n = 1."""
-    k = min(len(T), 2)
-    while True:
-        label = _orbit_labels(T.T[:k])
-        if label.max() < k:
-            return k, not label.any()
-        k = min(len(T), 2 * k)
-
-
-def _axiom3_witness(T: np.ndarray, k: int):
-    """The first (x, y, z) with z < k, in lexicographic order, at which
-    (x > y) > z != (x > z) > (y > z); None when there is none."""
+def _generating_set(T: np.ndarray) -> tuple[tuple[int, ...], bool]:
+    """A generating set S of the quandle, grown from (0, 1) (module
+    docstring), and whether the quandle is connected; R_0 fixes 0, so
+    S = (0,) only when n = 1.  The least points come from a boolean mask,
+    not np.setdiff1d, which imports numpy.ma on its first call."""
     n = len(T)
-    Tk = T[:, :k]
-    block = max(1, _AXIOM3_CHUNK // (n * k))
+    S = list(range(min(n, 2)))
+    while True:
+        label = _orbit_labels(T.T[S])
+        free = label == np.arange(n)  # the least point of each orbit
+        free[label[S]] = False
+        fresh = np.flatnonzero(free)[: len(S)]
+        if not fresh.size:
+            return tuple(S), not label.any()
+        S += fresh.tolist()
+
+
+def _axiom3_witness(T: np.ndarray, columns):
+    """The first (x, y, z) with z in ``columns`` (ascending), in
+    lexicographic order, at which (x > y) > z != (x > z) > (y > z); None
+    when there is none."""
+    n = len(T)
+    Tk = T[:, columns]
+    block = max(1, _AXIOM3_CHUNK // (n * len(columns)))
     for start in range(0, n, block):
         Tx = Tk[start : start + block]
         # [x, y, z]: (x > y) > z against (x > z) > (y > z)
@@ -129,13 +137,13 @@ def _axiom3_witness(T: np.ndarray, k: int):
         first = int(mismatch.argmax())
         if mismatch.flat[first]:
             x, y, z = np.unravel_index(first, mismatch.shape)
-            return (start + int(x), int(y), int(z))
+            return (start + int(x), int(y), columns[z])
     return None
 
 
-def _checked(table) -> tuple[np.ndarray, int, bool]:
-    """The table as a read-only intp array, its generating prefix k and
-    whether it is connected, after the checks validate_quandle documents."""
+def _checked(table) -> tuple[np.ndarray, tuple[int, ...], bool]:
+    """The table as a read-only intp array, its generating set and whether
+    it is connected, after the checks validate_quandle documents."""
     n = len(table) if isinstance(table, np.ndarray) and table.dtype.kind in "iu" else 0
     if n and table.shape == (n, n) and ((0 <= table) & (table < n)).all():
         T = table.astype(np.intp)
@@ -161,11 +169,11 @@ def _checked(table) -> tuple[np.ndarray, int, bool]:
     bad = np.flatnonzero((np.sort(T, axis=0) != points[:, None]).any(axis=0))
     if bad.size:
         raise AxiomViolation(2, (int(bad[0]),))
-    k, connected = _generating_prefix(T)
-    if _axiom3_witness(T, k) is not None:
-        raise AxiomViolation(3, _axiom3_witness(T, n))
+    generators, connected = _generating_set(T)
+    if _axiom3_witness(T, generators) is not None:
+        raise AxiomViolation(3, _axiom3_witness(T, range(n)))
     T.flags.writeable = False
-    return T, k, connected
+    return T, generators, connected
 
 
 def validate_quandle(table) -> CayleyQuandle:
@@ -175,8 +183,9 @@ def validate_quandle(table) -> CayleyQuandle:
     and the three axioms.  Shape and entry errors raise ValueError naming
     the first offending row or entry in row-major order; a failed axiom raises
     AxiomViolation with the first witness, in axiom order.  Axiom 3 is
-    checked at z < k (module docstring), over blocks of x; only if that
-    fails are all n columns scanned, for the first witness (x, y, z)."""
+    checked at z in the generating set (module docstring), over blocks of
+    x; only if that fails are all n columns scanned, for the first witness
+    (x, y, z)."""
     return CayleyQuandle(table)
 
 

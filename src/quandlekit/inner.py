@@ -1,7 +1,7 @@
 """Inner automorphism groups of quandles.
 
-Inn is closed from R_0..R_{k-1}, the translations by the quandle's
-generating prefix, which generate it (cayley module docstring); the group
+Inn is closed from the translations R_s by the points s of the quandle's
+generating set, which generate it (cayley module docstring); the group
 is memoised on the quandle, so callers passing the same quandle share one
 closure.
 
@@ -43,15 +43,16 @@ def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
 
 @_memoised
 def inner_group(q: CayleyQuandle) -> PermutationGroup:
-    """The group generated by the right translations, closed from
-    R_0..R_{k-1}, k the generating prefix, and kept as its image array
-    alone; memoised on q."""
-    return close_group(map(Permutation._trusted, q._array.T[: q._prefix].tolist()))
+    """The group generated by the right translations, closed from R_s for
+    s in the generating set, and kept as its image array alone; memoised
+    on q."""
+    return close_group(map(Permutation._trusted, q._array.T[list(q._generators)].tolist()))
 
 
 def is_connected(q: CayleyQuandle) -> bool:
     """True when the inner group acts transitively, as validation found
-    from the orbits of R_0..R_{k-1} (cayley module docstring)."""
+    from the orbits of the translations by the generating set (cayley
+    module docstring)."""
     return q._connected
 
 

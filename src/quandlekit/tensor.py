@@ -100,8 +100,9 @@ class TauQuotient:
 
 @_memoised
 def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
-    """Orbits of X x X under R_0..R_{k-1}, the translations by the generating
-    prefix, which generate Inn, acting diagonally; memoised on the quandle.
+    """Orbits of X x X under the translations R_s by the points s of the
+    generating set, which generate Inn, acting diagonally; memoised on the
+    quandle.
 
     Min-label propagation over pair indices x*n + y (perms._orbit_labels)
     labels each pair with the least pair index of its orbit; pair-index
@@ -109,7 +110,7 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     orders the classes by their least pair.
     """
     n = quandle.order
-    columns = quandle._array.T[: quandle._prefix]
+    columns = quandle._array.T[list(quandle._generators)]
     maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(-1, n * n)
     return TensorSquare.from_least(_orbit_labels(maps), order=n)
 

@@ -400,3 +400,62 @@ def test_automorphism_group_is_built_from_the_memoised_image_array():
         assert np.array_equal(aut.images, reference.images), moduli
         assert len(aut.elements) == len(autos)
         assert aut.elements == reference.elements, moduli
+
+
+def _int64_automorphism_images(group):
+    """A frozen copy of the enumeration that held its spans, addition table
+    and multiples as int64 and cast the finished spans to the image dtype."""
+    import numpy as np
+
+    from quandlekit.perms import _dtype_for
+
+    moduli = np.array(group.moduli, dtype=np.int64)
+    coords = np.array(group.elements, dtype=np.int64)
+    weights = np.ones(len(moduli), dtype=np.int64)
+    for i in range(len(moduli) - 2, -1, -1):
+        weights[i] = weights[i + 1] * moduli[i + 1]
+    add_table = (coords[:, None, :] + coords[None, :, :]) % moduli @ weights
+    candidate_rows = [np.nonzero(np.all(coords * m % moduli == 0, axis=1))[0]
+                      for m in group.moduli]
+    spans = np.zeros((1, 1), dtype=np.int64)
+    for rows, m in zip(candidate_rows, group.moduli):
+        multiples = (
+            np.arange(m, dtype=np.int64)[:, None, None] * coords[rows] % moduli @ weights
+        )
+        in_span = np.zeros((len(spans), group.order), dtype=bool)
+        in_span[np.arange(len(spans))[:, None], spans] = True
+        clash = in_span[:, multiples[1:]].any(axis=1)
+        keep, chosen = np.nonzero(~clash)
+        spans = add_table[
+            spans[keep][:, :, None], multiples[:, chosen].T[:, None, :]
+        ].reshape(len(keep), -1)
+    assert np.all(np.sort(spans, axis=1) == np.arange(group.order))
+    return spans.astype(_dtype_for(group.order))
+
+
+def test_automorphisms_are_enumerated_in_the_image_dtype():
+    """The enumeration holds its spans in the image dtype: on Z_2^4 its
+    traced peak stays under 2.5 MB (5.96 MB with int64 spans), and on every
+    type of order <= 16 it lists the int64 enumeration's rows in order."""
+    import tracemalloc
+
+    import numpy as np
+
+    from quandlekit.abelian import _automorphism_images
+
+    group = AbelianGroup((2, 2, 2, 2))
+    tracemalloc.start()
+    try:
+        images = _automorphism_images(group)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert images.dtype == np.uint8 and images.shape == (20160, 16)
+    assert peak < 2.5 * 2**20, peak
+    types = [moduli for order in range(1, 17) for moduli in abelian_types(order)]
+    assert (2, 2, 2, 2) in types
+    for moduli in types:
+        group = AbelianGroup(moduli)
+        reference = _int64_automorphism_images(group)
+        images = _automorphism_images(group)
+        assert images.dtype == reference.dtype and np.array_equal(images, reference), moduli

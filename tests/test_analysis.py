@@ -344,3 +344,39 @@ def test_decomposition_keeps_the_order_of_the_irreducibles(capsys):
     assert cli.main(["analyze", "--affine", "31", "2"]) == 0
     assert "decomposition:       triv + ind:1 + ind:3 + ind:5 + ind:7 + ind:11 + ind:15\n" in (
         capsys.readouterr().out)
+
+
+def test_analyze_the_tensor_product_of_two_prime_order_quandles(monkeypatch):
+    """X x Y for X = Aff(Z_23, 5) and Y = Aff(Z_23, 2) is Aff(Z_23^2, diag(5, 2)):
+    connected, so multiplicity free, with Inn = Z_23^2 x| <diag(5, 2)> and
+    rank 1 + 22/n_s + 22/n_t + 22^2/lcm(n_s, n_t), n_s and n_t the orders
+    of 5 and 2.  Three points generate it, and Inn is closed from their
+    three translations."""
+    from math import lcm
+
+    from quandlekit import Permutation, inner
+    from quandlekit.modular import multiplicative_order
+
+    p, s, t = 23, 5, 2
+    diagonal = Permutation(tuple((s * a % p) * p + t * b % p for a in range(p) for b in range(p)))
+    product = abelian_affine_quandle(AbelianGroup((p, p)), diagonal)
+    assert len(product._generators) == 3
+    received = []
+    close_group = inner.close_group
+
+    def counted(generators):
+        generators = tuple(generators)
+        received.append(len(generators))
+        return close_group(generators)
+
+    monkeypatch.setattr(inner, "close_group", counted)
+    report = analyze(product)
+    assert received == [3]
+    n_s, n_t = multiplicative_order(s, p), multiplicative_order(t, p)
+    assert (n_s, n_t) == (22, 11)
+    rank = 1 + (p - 1) // n_s + (p - 1) // n_t + (p - 1) ** 2 // lcm(n_s, n_t)
+    assert rank == 26
+    assert (report.order, report.connected) == (p * p, True)
+    assert (report.inner_order, report.stabilizer_order) == (p * p * 22, 22)
+    assert report.rank == report.tensor_class_count == rank
+    assert report.multiplicity_free is True and report.gelfand_pair is True

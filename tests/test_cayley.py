@@ -466,12 +466,12 @@ def _outcome(build, table):
         q = build(table)
     except (AxiomViolation, ValueError) as exc:
         return type(exc), exc.args
-    return q, q._prefix
+    return q, q._generators
 
 
 def _verdict(table):
     # building CayleyQuandle directly raises exactly what validate_quandle
-    # raises, or gives an equal quandle with the same generating prefix
+    # raises, or gives an equal quandle with the same generating set
     assert _outcome(CayleyQuandle, table) == _outcome(validate_quandle, table)
     try:
         validate_quandle(table)
@@ -543,10 +543,10 @@ def test_validate_shape_and_range_messages_match_triple_loop(table):
 
 @functools.cache
 def _reduced_check_bases():
-    """Quandles whose generating prefix is longer than 0, 1, or that are
-    not connected: the bundled table (k = 4), the trivial quandle (k = n),
-    a disconnected dihedral quandle and a disconnected quandle over
-    Z_2 x Z_2 (k = 4)."""
+    """Quandles whose generating set is longer than (0, 1), or that are
+    not connected: the bundled table, the trivial quandle (every point), a
+    disconnected dihedral quandle and a disconnected quandle over
+    Z_2 x Z_2."""
     swap = Permutation((0, 1, 3, 2))
     return {
         "bundled": bundled_order12(),
@@ -556,9 +556,10 @@ def _reduced_check_bases():
     }
 
 
-def test_generating_prefixes_of_the_reduced_check_bases():
-    prefixes = {name: q._prefix for name, q in _reduced_check_bases().items()}
-    assert prefixes == {"bundled": 4, "trivial 6": 6, "dihedral 8": 2, "Z2 x Z2": 4}
+def test_generating_sets_of_the_reduced_check_bases():
+    generators = {name: q._generators for name, q in _reduced_check_bases().items()}
+    assert generators == {"bundled": (0, 1, 2, 6), "trivial 6": (0, 1, 2, 3, 4, 5),
+                          "dihedral 8": (0, 1), "Z2 x Z2": (0, 1, 2)}
     assert not any(is_connected(q) for name, q in _reduced_check_bases().items()
                    if name != "bundled")
 
@@ -598,7 +599,7 @@ def test_validate_accepts_an_integer_array(order12):
             array = np.array(rows, dtype=dtype)
             q = validate_quandle(array)
             assert q == validate_quandle(rows) == quandle
-            assert q._prefix == quandle._prefix
+            assert q._generators == quandle._generators
             assert isinstance(q.table, tuple)
             assert all(isinstance(row, tuple) for row in q.table)
             assert {type(v) for row in q.table for v in row} == {int}
@@ -624,27 +625,34 @@ def test_validate_array_shape_and_range_messages_match_triple_loop(table):
     assert not isinstance(exc.value, AxiomViolation)
 
 
+def _magma_closure(T, inside):
+    """Grow the mask ``inside`` to the subquandle it generates, by closing
+    it under the operation; returns the mask."""
+    size = 0
+    while size < np.count_nonzero(inside):
+        members = np.flatnonzero(inside)
+        size = members.size
+        inside[T[members][:, members]] = True
+    return inside
+
+
 def _closure_prefix(T):
-    """A frozen copy of _generating_prefix before the orbit criterion: the
-    least k in 1, 2, 4, ... (capped at n) such that 0..k-1 generate, by one
-    magma closure grown as k doubles."""
+    """A frozen copy of the doubled generating prefix before the orbit
+    criterion: the least k in 1, 2, 4, ... (capped at n) such that 0..k-1
+    generate, by one magma closure grown as k doubles."""
     inside = np.zeros(len(T), dtype=bool)
     k = 0
     while not inside.all():
         k = min(len(T), 2 * k or 1)
         inside[:k] = True
-        size = 0
-        while size < np.count_nonzero(inside):
-            members = np.flatnonzero(inside)
-            size = members.size
-            inside[T[members][:, members]] = True
+        _magma_closure(T, inside)
     return k
 
 
-def _labelled_connectivity(q, k):
+def _labelled_connectivity(q, points):
     """A frozen copy of is_connected before validation decided it: every
-    point's orbit under R_0..R_{k-1} has least point 0."""
-    return not _orbit_labels(q._array.T[:k]).any()
+    point's orbit under the translations by ``points`` has least point 0."""
+    return not _orbit_labels(q._array.T[list(points)]).any()
 
 
 def _prefix_inputs():
@@ -672,11 +680,21 @@ def _prefix_inputs():
         yield f"transpositions {degree}", transposition_quandle(degree)
 
 
-def test_prefix_and_connectivity_match_the_closure_and_the_labelling():
+def test_generating_set_and_connectivity_match_the_closure_and_the_labelling():
+    """The generating set generates (a magma closure seeded with it), is
+    no longer than the doubled prefix 0..k-1 it replaced, and its
+    translations decide connectivity as those of the prefix did."""
     seen = {}
     for name, q in _prefix_inputs():
+        S = q._generators
+        assert S == tuple(sorted(set(S))) and S[:2] == tuple(range(min(q.order, 2))), name
+        seed = np.zeros(q.order, dtype=bool)
+        seed[list(S)] = True
+        assert _magma_closure(q._array, seed).all(), name
         k = _closure_prefix(q._array)
-        assert (q._prefix, is_connected(q)) == (k, _labelled_connectivity(q, k)), name
+        assert len(S) <= k, name
+        assert is_connected(q) == _labelled_connectivity(q, S) == _labelled_connectivity(
+            q, range(k)), name
         kind = name.split()[0]
         seen[kind, is_connected(q)] = seen.get((kind, is_connected(q)), 0) + 1
     assert sum(seen.values()) == 1367
@@ -686,8 +704,8 @@ def test_prefix_and_connectivity_match_the_closure_and_the_labelling():
 
 
 def test_is_connected_reads_what_validation_labelled(monkeypatch, order12):
-    """Validation labels the orbits of R_0..R_{k-1} once per tried k, from
-    k = 2; is_connected then runs no labelling."""
+    """Validation labels the orbits of the translations by S once per
+    growth of S, from S = (0, 1); is_connected then runs no labelling."""
     calls = []
     labels = perms._orbit_labels
 
@@ -699,7 +717,7 @@ def test_is_connected_reads_what_validation_labelled(monkeypatch, order12):
     monkeypatch.setattr(perms, "_orbit_labels", counted)
     quandles = [affine_quandle(AffineSpec(13, 8)), affine_quandle(AffineSpec(9, 4)),
                 validate_quandle(order12.table), trivial_quandle(6), validate_quandle([[0]])]
-    assert calls == [2, 2, 4, 2, 4, 2, 4, 6, 1]
+    assert calls == [2, 2, 3, 2, 4, 2, 4, 6, 1]
     calls.clear()
     assert [is_connected(q) for q in quandles] == [True, False, True, False, True]
     assert calls == []

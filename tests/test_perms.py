@@ -330,27 +330,28 @@ def _dimino_close_group(generators, *, cap):
     return PermutationGroup(E)
 
 
-def _prefix_generators(quandle):
-    """R_0..R_{k-1}, the translations inner_group closes from."""
-    return [Permutation._trusted(row) for row in quandle._array.T[: quandle._prefix].tolist()]
+def _generating_translations(quandle):
+    """R_s for s in the generating set, the translations inner_group closes from."""
+    columns = quandle._array.T[list(quandle._generators)]
+    return [Permutation._trusted(row) for row in columns.tolist()]
 
 
 def _closure_differential_lists():
     yield from _padded_generator_lists()
     for spec in connected_affine_specs(47):
-        yield _prefix_generators(affine_quandle(spec))
-    yield _prefix_generators(bundled_order12())
+        yield _generating_translations(affine_quandle(spec))
+    yield _generating_translations(bundled_order12())
     for degree in range(4, 9):
         quandle = transposition_quandle(degree)
-        yield _prefix_generators(quandle)
+        yield _generating_translations(quandle)
         yield inner_generators(quandle)
 
 
 def test_close_group_matches_the_dimino_closure():
     """One breadth-first pass lists the group that the pruned, re-seeded
-    closure listed, on padded lists, every connected affine prefix of order
-    <= 47, the bundled table's prefix and the S_4..S_8 transposition classes
-    (prefixes and all translations)."""
+    closure listed, on padded lists, the generating translations of every
+    connected affine quandle of order <= 47 and of the bundled table, and
+    the S_4..S_8 transposition classes (generating and all translations)."""
     count = 0
     for gens in _closure_differential_lists():
         new, old = close_group(gens), _dimino_close_group(gens, cap=perms.CLOSURE_CAP)
@@ -360,7 +361,7 @@ def test_close_group_matches_the_dimino_closure():
 
 
 def test_both_closures_stop_at_the_cap_on_s9():
-    gens = _prefix_generators(transposition_quandle(9))
+    gens = _generating_translations(transposition_quandle(9))
     message = r"^closure reached (\d+) elements, past the cap of 20000$"
     with mock.patch.object(perms, "CLOSURE_CAP", 20_000):
         with pytest.raises(GroupTooLarge, match=message):
@@ -685,7 +686,7 @@ def test_closed_group_keeps_its_generators_as_its_generating_rows():
     s4_gens = [Permutation.from_cycles(4, [(0, 1, 2, 3)]), Permutation.identity(4),
                Permutation.from_cycles(4, [(0, 1)]), Permutation.from_cycles(4, [(0, 1, 2, 3)])]
     groups += [close_group(s4_gens), close_group([Permutation.identity(3)]),
-               close_group(_prefix_generators(bundled_order12()))]
+               close_group(_generating_translations(bundled_order12()))]
     for group in groups:
         rows = perms._generating_rows(group)
         assert not rows.flags.writeable and not np.shares_memory(rows, group.images)

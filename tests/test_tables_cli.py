@@ -394,10 +394,9 @@ print("numpy.ma" in sys.modules)
 """
 
 
-def test_pipeline_never_imports_masked_arrays():
-    """A bare np.unique imports numpy.ma (about 10 ms) inside the first
-    call that reaches it; analyze, scan, a folded-key Gelfand pair, a coset
-    quandle and orbits, in a fresh interpreter, leave it unimported."""
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter with the package on its path;
+    returns its stdout."""
     import os
     import subprocess
     import sys
@@ -406,10 +405,39 @@ def test_pipeline_never_imports_masked_arrays():
     repo = Path(__file__).resolve().parent.parent
     paths = [str(repo / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS],
+    proc = subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    return proc.stdout
+
+
+def test_pipeline_never_imports_masked_arrays():
+    """A bare np.unique imports numpy.ma (about 10 ms) inside the first
+    call that reaches it; analyze, scan, a folded-key Gelfand pair, a coset
+    quandle and orbits, in a fresh interpreter, leave it unimported."""
+    assert _run_fresh(_NO_MASKED_ARRAYS) == "False\n"
+
+
+_GENERATING_SETS = """
+import contextlib, io, sys
+from quandlekit import trivial_quandle
+from quandlekit.cli import main
+
+assert trivial_quandle(6)._generators == (0, 1, 2, 3, 4, 5)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["analyze", "--bundled"]) == 0
+    assert main(["scan", "--max-order", "13"]) == 0
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_generating_sets_never_import_masked_arrays():
+    """Growing a generating set picks the least points of the orbits that
+    hold none of its points by a boolean mask: np.setdiff1d and np.isin
+    import numpy.ma (about 16 ms) on their first call.  Validating a
+    trivial quandle, whose set grows twice, analyze on the bundled table
+    and a scan leave it unimported."""
+    assert _run_fresh(_GENERATING_SETS) == "False\n"
 
 
 def _readme_command_lines():

@@ -235,12 +235,12 @@ def test_tensor_square_and_tau_match_plain_search_on_relabelled_tables(order12):
 
 
 def test_connected_affine_quandles_are_generated_by_0_and_1():
-    assert all(affine_quandle(spec)._prefix == 2 for spec in connected_affine_specs(47))
+    assert all(affine_quandle(spec)._generators == (0, 1) for spec in connected_affine_specs(47))
 
 
 def test_generating_prefix_gives_the_orbits_of_all_translations(order12):
-    """tensor_square and is_connected act by the k translations of the
-    generating prefix; all n translations must give the same orbits."""
+    """tensor_square and is_connected act by the translations of the
+    generating set; all n translations must give the same orbits."""
     quandles = [affine_quandle(spec) for spec in connected_affine_specs(47)]
     quandles += [order12, trivial_quandle(5), dihedral_quandle(9),
                  _relabelled(affine_quandle(AffineSpec(11, 2)), random.Random(11))]
