@@ -17,7 +17,9 @@ read-only; automorphism_permutations is a sequence over its rows that
 builds a Permutation only for a row that is read, and automorphism_group,
 the extension and the translation group are built from image arrays alone.  The coordinate array, the table, the image array
 and that sequence are memoised on the AbelianGroup (perms._memoised), so
-automorphism_group and every extension of one group reuse them.
+automorphism_group and every extension of one group reuse them.  The
+extension is listed already sorted, with no closure (_semidirect_rows),
+as inner.inner_group lists Inn of a quandle that carries (A, f).
 """
 
 from __future__ import annotations
@@ -28,14 +30,17 @@ from math import prod
 
 import numpy as np
 
-from .cayley import NotAutomorphism, validate_quandle
+from .cayley import NotAutomorphism, _with_affine, validate_quandle
 from .perms import (GroupTooLarge, Permutation, PermutationGroup, PermutationRows,
-                    _dtype_for, _memoised)
+                    _dtype_for, _lexsort_order, _memoised)
 
 # Largest number of candidate generator-image assignments that
 # automorphism_permutations expands; (2,2,2,2), the largest of any type of
 # order <= 31, has 16**4 = 65536.
 AUTOMORPHISM_CANDIDATE_CAP = 1 << 17
+
+# Entries _semidirect_rows gathers per step; bounds the unsorted rows it holds.
+_GATHER_CHUNK = 1 << 20
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:
@@ -247,6 +252,36 @@ def _additive(group: AbelianGroup, automorphism: Permutation) -> np.ndarray:
     return f
 
 
+def _semidirect_rows(add: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Image rows of A x| <f>, lexsorted and read-only, and the powers
+    f^0..f^(k-1), k = ord f, both in _dtype_for(n), for an abelian group A
+    on 0..n-1 given by its addition table (0 its zero) and an automorphism
+    f given as an index array.  Member (a, i), y -> a + f^i(y), has column
+    c add[a, f^i(c)], so its order is read off those columns before any row
+    is built; column 0 is a, so each a holds k consecutive sorted rows, and
+    they are gathered in order: the group is never held unsorted too."""
+    n = len(f)
+    dt = _dtype_for(n)
+    add, f = add.astype(dt, copy=False), f.astype(dt, copy=False)
+    identity = np.arange(n, dtype=dt)
+    powers = [identity]
+    while ((current := powers[-1][f]) != identity).any():
+        powers.append(current)
+    powers = np.array(powers)
+    k = len(powers)
+    order = _lexsort_order(
+        n, lambda width: np.take(add, powers[:, :width], axis=1).reshape(-1, width))[0]
+    exponent = (order % k).reshape(n, k)  # the i of each sorted member, block a
+    rows = np.empty((n, k, n), dtype=dt)
+    step = max(1, _GATHER_CHUNK // (k * n))
+    for a in range(0, n, step):
+        members = np.take(add[a : a + step], powers, axis=1)  # [a, i]: y -> a + f^i(y)
+        rows[a : a + step] = members[np.arange(len(members))[:, None], exponent[a : a + step]]
+    rows = rows.reshape(-1, n)
+    rows.flags.writeable = False
+    return rows, powers
+
+
 def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
     """The quandle x > y = f(x) + y - f(y) on the group's element list.
 
@@ -254,14 +289,19 @@ def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
     the extension built by affine_extension with the point stabilizer the
     cyclic subgroup generated by f.  Raises NotAutomorphism when f is not
     additive (_additive).
+
+    A connected result carries the addition table and f as its ``_affine``
+    (cayley.CayleyQuandle): inner_group lists Inn as that extension and
+    tensor_square reads the class of (x, y) off the <f>-orbit of y - x.
     """
     moduli = np.array(group.moduli, dtype=np.int64)
     coords = _coordinates(group)
-    f_coords = coords[_additive(group, automorphism)]
+    f = _additive(group, automorphism)
+    f_coords = coords[f]
     drift = coords - f_coords
     # [x, y]: coordinates of f(x) + y - f(y), then its mixed-radix index
     table = (f_coords[:, None, :] + drift[None, :, :]) % moduli @ _radix_weights(moduli)
-    return validate_quandle(table)
+    return _with_affine(validate_quandle(table), _addition_table(group), f)
 
 
 def affine_extension(
@@ -272,17 +312,9 @@ def affine_extension(
 
     Element count is |A| * order(f); the pair realizes (A x| <f>, <f>)
     acting on A.  The powers of f are index arrays, and every member is one
-    row of a single gather on the addition table.  Raises NotAutomorphism
-    when f is not additive (_additive).
+    row of a single gather on the addition table (_semidirect_rows, which
+    inner.inner_group shares).  Raises NotAutomorphism when f is not
+    additive (_additive).
     """
-    f = _additive(group, automorphism)
-    count = group.order
-    powers = [np.arange(count, dtype=np.int64)]
-    current = f
-    while np.any(current != powers[0]):
-        powers.append(current)
-        current = current[f]
-    powers = np.array(powers)
-    # member (a, i) is y -> a + f^i(y)
-    return (PermutationGroup(_addition_table(group)[:, powers].reshape(-1, count)),
-            PermutationGroup(powers))
+    rows, powers = _semidirect_rows(_addition_table(group), _additive(group, automorphism))
+    return PermutationGroup._trusted(rows), PermutationGroup(powers)

@@ -12,6 +12,13 @@ every label is 0.  Axiom 3 is checked at z in S only.  On bijective
 columns that suffices: for bijective endomorphisms R_s and R_z, so are
 R_{R_s(z)} = R_s R_z R_s^-1 and R_{R_s^-1(z)} = R_s^-1 R_z R_s, so such z are
 closed under R_s and R_s^-1 for every such s; holding S, they hold all.
+
+affine_quandle and abelian.abelian_affine_quandle keep the (A, f) of a
+connected Aff(A, f), x > y = f(x) + y - f(y), beside its validated table
+as CayleyQuandle._affine: A's addition table on the points (0 its zero)
+and f as an intp index array, both read-only.  inner.inner_group and
+tensor.tensor_square read it in closed form.  Every other quandle, a bare
+copy of such a table included, keeps None there.
 """
 
 from __future__ import annotations
@@ -23,8 +30,9 @@ from math import gcd
 import numpy as np
 
 from .modular import multiplicative_order
-from .perms import (Permutation, PermutationRows, _element_keys, _greedy_generators,
-                    _integers, _locate, _memoised, _orbit_labels, close_group)
+from .perms import (Permutation, PermutationRows, _dtype_for, _element_keys,
+                    _greedy_generators, _integers, _locate, _memoised, _orbit_labels,
+                    close_group)
 
 _AXIOM_NAMES = {
     1: "idempotence",
@@ -75,7 +83,12 @@ class CayleyQuandle:
     and hashing read the array.  ``table``, the same table as a tuple of
     int tuples, is built on first read and memoised beside the array
     (perms._memoised), as are the quandle's inner group and tensor square.
+
+    ``_affine`` is None or (add, f) (module docstring); it holds no
+    spec, group or quandle.
     """
+
+    _affine: tuple[np.ndarray, np.ndarray] | None = None
 
     def __init__(self, table):
         self._array, self._generators, self._connected = _checked(table)
@@ -228,13 +241,24 @@ class AffineSpec:
         return gcd(1 - self.multiplier, self.modulus) == 1
 
 
+def _with_affine(q: CayleyQuandle, add: np.ndarray, f: np.ndarray) -> CayleyQuandle:
+    """q, carrying (add, f) as its ``_affine`` when it is connected; the
+    caller vouches that q is Aff(A, f) for A with addition table add."""
+    if q._connected:
+        add.flags.writeable = f.flags.writeable = False
+        q.__dict__["_affine"] = (add, f)
+    return q
+
+
 @_memoised
 def affine_quandle(spec: AffineSpec) -> CayleyQuandle:
     """The validated table of the spec's quandle; memoised on the spec, so
-    every call with one spec object returns the same quandle."""
+    every call with one spec object returns the same quandle.  A connected
+    one carries (Z_m, x -> t x) as its ``_affine``."""
     m, t = spec.modulus, spec.multiplier
     x = np.arange(m)
-    return validate_quandle((t * x[:, None] + (1 - t) % m * x) % m)
+    q = validate_quandle((t * x[:, None] + (1 - t) % m * x) % m)
+    return _with_affine(q, ((x[:, None] + x) % m).astype(_dtype_for(m)), t * x % m)
 
 
 def trivial_quandle(n: int) -> CayleyQuandle:

@@ -3,7 +3,12 @@
 Inn is closed from the translations R_s by the points s of the quandle's
 generating set, which generate it (cayley module docstring); the group
 is memoised on the quandle, so callers passing the same quandle share one
-closure.
+listing.  A connected quandle built as Aff(A, f) carries (A, f)
+(cayley.CayleyQuandle._affine), and for it no closure runs: R_0 = f and
+R_y R_0^-1 is the translation by y - f(y), onto A, so Inn = A x| <f>, the
+maps y -> a + f^i(y), listed by one gather on A's addition table
+(Hulpke, Stanovsky and Vojtechovsky, "Connected quandles and transitive
+groups", JPAA 2016).
 
 For a connected affine quandle (m, t) the inner group is generated by two
 elements: the translation x -> x + (1 - t) and the scaling x -> t x, with
@@ -17,11 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .abelian import _semidirect_rows
 from .cayley import AffineSpec, CayleyQuandle, affine_quandle, right_translation
 from .modular import geometric_sum
 from .perms import (
     Permutation,
     PermutationGroup,
+    _generated_by,
     _memoised,
     close_group,
     element_order,
@@ -43,10 +50,15 @@ def inner_generators(q: CayleyQuandle) -> tuple[Permutation, ...]:
 
 @_memoised
 def inner_group(q: CayleyQuandle) -> PermutationGroup:
-    """The group generated by the right translations, closed from R_s for
-    s in the generating set, and kept as its image array alone; memoised
-    on q."""
-    return close_group(map(Permutation._trusted, q._array.T[list(q._generators)].tolist()))
+    """The group generated by the right translations, kept as its image
+    array alone, with R_s for s in the generating set as its generating
+    set; memoised on q.  A quandle carrying Aff(A, f) (module docstring)
+    has it listed as A x| <f>; any other is closed from those R_s."""
+    translations = q._array.T[list(q._generators)]
+    if q._affine is None:
+        return close_group(map(Permutation._trusted, translations.tolist()))
+    rows = _semidirect_rows(*q._affine)[0]
+    return _generated_by(PermutationGroup._trusted(rows), translations.astype(rows.dtype))
 
 
 def is_connected(q: CayleyQuandle) -> bool:

@@ -14,9 +14,10 @@ block; Partition.blocks builds the member tuples only when they are read.
 Conjugacy classes and double cosets K g K are orbits, of G acting on itself
 by conjugation and of K x K by multiplication on both sides, so both are
 split by maps built from a generating set S of K.  For classes (and
-orbits) of a group close_group built, S is the generators it was closed
-from; otherwise S is greedy, |S| <= log2 |K|: the last member of K outside
-<S> joins S until |K| / |<S>| is 1 or prime.
+orbits) of a group close_group built, or inner.inner_group listed, S is
+the generators it was built from (_generated_by); otherwise S is greedy,
+|S| <= log2 |K|: the last member of K outside <S> joins S until
+|K| / |<S>| is 1 or prime.
 
 close_group lists a group in one breadth-first pass from the identity
 under left multiplication by the distinct non-identity generators.
@@ -221,6 +222,8 @@ class PermutationGroup:
 
     Built directly, it checks that the rows (in any order) hold integers in
     0..degree-1 and trusts them to be closed permutations; see close_group.
+    Rows are sorted on a leading block of columns that separates them
+    (_lexsort_order).
     """
 
     def __init__(self, images):
@@ -233,14 +236,24 @@ class PermutationGroup:
         if images.dtype.kind not in "iu" or (
                 images.size and not 0 <= images.min() <= images.max() < degree):
             raise ValueError(f"image rows must hold integers in 0..{degree - 1}")
-        images = images.astype(_dtype_for(degree), copy=False)[np.lexsort(images.T[::-1])]
+        images = images.astype(_dtype_for(degree), copy=False)
+        order, distinct = _lexsort_order(degree, lambda width: images[:, :width])
+        images = images[order]
         # the identity is the least permutation in lex order
         if not len(images) or np.any(images[0] != np.arange(degree)):
             raise ValueError("identity missing")
-        if np.any(np.all(images[1:] == images[:-1], axis=1)):
+        if not distinct:
             raise ValueError("duplicate elements")
         images.flags.writeable = False
         self.images = images
+
+    @classmethod
+    def _trusted(cls, images: np.ndarray) -> "PermutationGroup":
+        """Wrap read-only image rows, in the image dtype, already known to
+        be a lexsorted group, unchecked."""
+        group = cls.__new__(cls)
+        group.images = images
+        return group
 
     @classmethod
     def from_elements(cls, elements) -> "PermutationGroup":
@@ -384,6 +397,26 @@ def _locate(group: PermutationGroup, rows) -> tuple[np.ndarray, np.ndarray]:
     return index, np.all(group.images[index] == rows, axis=1)
 
 
+def _lexsort_order(degree: int, columns) -> tuple[np.ndarray, bool]:
+    """The order of the full lexsort of integer rows of width ``degree``,
+    with entries below it, and whether the rows are pairwise distinct;
+    ``columns(w)`` returns the first w columns of the rows.  It lexsorts
+    them on the leading columns that one int64 key would hold (a key of
+    radix degree, as _ElementKeys builds), doubling that prefix while two
+    rows tie on it; rows equal in every column tie to the last."""
+    width = 1
+    while width < degree and degree ** (width + 1) < _KEY_LIMIT:
+        width += 1
+    while True:
+        prefix = columns(min(width, degree))
+        order = np.lexsort(prefix.T[::-1])
+        prefix = prefix[order]
+        distinct = not (prefix[1:] == prefix[:-1]).all(axis=1).any()
+        if distinct or width >= degree:
+            return order, distinct
+        width *= 2
+
+
 def close_group(generators) -> PermutationGroup:
     """The group generated by ``generators``, listed in one breadth-first pass
     from the identity under left multiplication by the distinct non-identity
@@ -418,9 +451,17 @@ def close_group(generators) -> PermutationGroup:
             raise GroupTooLarge(
                 f"closure reached {len(seen)} elements, past the cap of {CLOSURE_CAP}"
             )
-    group = PermutationGroup(np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree))
-    gen_arr.flags.writeable = False
-    group.__dict__["_generating_rows"] = gen_arr  # the memo _generating_rows reads
+    return _generated_by(
+        PermutationGroup(np.frombuffer(b"".join(seen), dtype=dt).reshape(len(seen), degree)),
+        gen_arr)
+
+
+def _generated_by(group: PermutationGroup, rows: np.ndarray) -> PermutationGroup:
+    """``group``, storing the non-identity ones of ``rows``, image rows that
+    generate it, as its generating set (the memo _generating_rows reads)."""
+    rows = rows[(rows != np.arange(group.degree)).any(axis=1)]
+    rows.flags.writeable = False
+    group.__dict__["_generating_rows"] = rows
     return group
 
 

@@ -7,6 +7,13 @@ classes, and the quotient under that involution is computed here too.
 For connected affine quandles with prime modulus both objects have closed
 forms driven by the difference y - x, which this module also provides.
 
+A connected quandle built as Aff(A, f) carries (A, f)
+(cayley.CayleyQuandle._affine).  Its inner group is A x| <f>, which
+moves (x, y) to (0, y - x) and then along the <f>-orbit of y - x, so the
+least pair of the class of (x, y) is (0, d) for d the least point of that
+orbit: its tensor square is read off the n x n difference table with one
+_orbit_labels call over the n points, and no pair is propagated.
+
 A tensor square is a perms.Partition over pair indices x*n + y: the
 class of every pair, the least pair of every class and the class sizes.
 The classes as tuples of pairs are built only when read.  The tensor
@@ -107,9 +114,15 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     Min-label propagation over pair indices x*n + y (perms._orbit_labels)
     labels each pair with the least pair index of its orbit; pair-index
     order coincides with lexicographic pair order, so ranking those labels
-    orders the classes by their least pair.
+    orders the classes by their least pair.  A quandle carrying Aff(A, f)
+    (module docstring) skips the propagation: its labels are one lookup.
     """
     n = quandle.order
+    if quandle._affine is not None:
+        add, f = quandle._affine
+        # [x, y]: y - x, as row -x of add; -x is where row x holds 0, its least entry
+        difference = add[add.argmin(axis=1)]
+        return TensorSquare.from_least(_orbit_labels(f[None])[difference].ravel(), order=n)
     columns = quandle._array.T[list(quandle._generators)]
     maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(-1, n * n)
     return TensorSquare.from_least(_orbit_labels(maps), order=n)

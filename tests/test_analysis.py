@@ -18,6 +18,7 @@ from quandlekit import (
     automorphism_permutations,
     bundled_order12,
     dihedral_quandle,
+    inner_group,
     quandles_isomorphic,
     recognize_affine,
     trivial_quandle,
@@ -350,8 +351,10 @@ def test_analyze_the_tensor_product_of_two_prime_order_quandles(monkeypatch):
     """X x Y for X = Aff(Z_23, 5) and Y = Aff(Z_23, 2) is Aff(Z_23^2, diag(5, 2)):
     connected, so multiplicity free, with Inn = Z_23^2 x| <diag(5, 2)> and
     rank 1 + 22/n_s + 22/n_t + 22^2/lcm(n_s, n_t), n_s and n_t the orders
-    of 5 and 2.  Three points generate it, and Inn is closed from their
-    three translations."""
+    of 5 and 2.  The product carries (Z_23^2, diag(5, 2)), so Inn is listed
+    once as that semidirect product and closed from nothing; three points
+    generate it, and a bare copy of its table is closed from their three
+    translations."""
     from math import lcm
 
     from quandlekit import Permutation, inner
@@ -361,17 +364,25 @@ def test_analyze_the_tensor_product_of_two_prime_order_quandles(monkeypatch):
     diagonal = Permutation(tuple((s * a % p) * p + t * b % p for a in range(p) for b in range(p)))
     product = abelian_affine_quandle(AbelianGroup((p, p)), diagonal)
     assert len(product._generators) == 3
-    received = []
-    close_group = inner.close_group
+    received, listed = [], []
+    close_group, semidirect_rows = inner.close_group, inner._semidirect_rows
 
     def counted(generators):
         generators = tuple(generators)
         received.append(len(generators))
         return close_group(generators)
 
+    def listing(add, f):
+        listed.append(len(f))
+        return semidirect_rows(add, f)
+
     monkeypatch.setattr(inner, "close_group", counted)
+    monkeypatch.setattr(inner, "_semidirect_rows", listing)
     report = analyze(product)
-    assert received == [3]
+    assert (received, listed) == ([], [p * p])
+    bare = validate_quandle(product._array)
+    assert inner_group(bare) == inner_group(product)
+    assert (received, listed) == ([3], [p * p])
     n_s, n_t = multiplicative_order(s, p), multiplicative_order(t, p)
     assert (n_s, n_t) == (22, 11)
     rank = 1 + (p - 1) // n_s + (p - 1) // n_t + (p - 1) ** 2 // lcm(n_s, n_t)

@@ -273,7 +273,7 @@ def test_decompose_5_4():
 
 
 def test_character_route_reuses_the_callers_quandle_inn_and_classes(monkeypatch):
-    calls = {"validate_quandle": 0, "close_group": 0}
+    calls = {"validate_quandle": 0, "close_group": 0, "_semidirect_rows": 0}
 
     def counted(module, name):
         original = getattr(module, name)
@@ -286,6 +286,7 @@ def test_character_route_reuses_the_callers_quandle_inn_and_classes(monkeypatch)
 
     counted(quandlekit.cayley, "validate_quandle")
     counted(quandlekit.inner, "close_group")
+    counted(quandlekit.inner, "_semidirect_rows")
     spec = AffineSpec(13, 8)
     quandle = affine_quandle(spec)
     group = inner_group(quandle)
@@ -293,7 +294,8 @@ def test_character_route_reuses_the_callers_quandle_inn_and_classes(monkeypatch)
     presentation(spec)
     permutation_character(group, classes)
     decompose_prime_affine(spec)
-    assert calls == {"validate_quandle": 1, "close_group": 1}
+    # the spec's quandle carries (Z_13, x -> 8 x): Inn is listed once, not closed
+    assert calls == {"validate_quandle": 1, "close_group": 0, "_semidirect_rows": 1}
     assert affine_quandle(spec) is quandle
     assert conjugacy_classes(group).classes is classes.classes
 

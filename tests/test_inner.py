@@ -1,8 +1,10 @@
 """Inner automorphism groups of affine quandles and their presentation."""
 
 import gc
+import itertools
 import weakref
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,7 +17,11 @@ from quandlekit import (
     NotInGroup,
     Permutation,
     abelian_affine_quandle,
+    abelian_types,
+    affine_extension,
     affine_quandle,
+    automorphism_group,
+    automorphism_permutations,
     close_group,
     conjugacy_classes,
     decompose_prime_affine,
@@ -25,6 +31,7 @@ from quandlekit import (
     inner_generators,
     inner_group,
     is_connected,
+    is_multiplicity_free,
     normal_form,
     presentation,
     right_translation,
@@ -34,7 +41,7 @@ from quandlekit import (
     validate_quandle,
     verify_translation_class,
 )
-from quandlekit import inner
+from quandlekit import inner, tensor
 from quandlekit.perms import _element_keys
 from conftest import connected_affine_specs
 
@@ -96,18 +103,30 @@ def test_derived_objects_are_memoised_on_the_quandle():
     assert tensor_square(q) is tensor_square(q)
 
 
+# Z_3^2 with f = diag(2, 2), the point (a, b) at index 3 a + b: 1 - f is
+# bijective, so the quandle is connected
+DOUBLING = Permutation(tuple(2 * a % 3 * 3 + 2 * b % 3 for a in range(3) for b in range(3)))
+# Z_2^2 with f swapping (1, 0) and (1, 1): 1 - f is not onto
+SHEAR = Permutation((0, 1, 3, 2))
+
+
 def test_memoised_objects_do_not_keep_the_quandle_alive():
     # a reference back to the quandle would make a cycle that only the
     # cyclic collector frees, so with it disabled the quandle must still
-    # die on its last reference
-    q = affine_quandle(AffineSpec(13, 8))
-    inner_group(q)
-    tensor_square(q)
-    ref = weakref.ref(q)
+    # die on its last reference; the (A, f) the quandle carries refers to
+    # neither the quandle nor its spec or group
+    spec = AffineSpec(13, 8)
+    q = affine_quandle(spec)
+    product = abelian_affine_quandle(AbelianGroup((3, 3)), DOUBLING)
+    for quandle in (q, product):
+        assert quandle._affine is not None
+        inner_group(quandle)
+        tensor_square(quandle)
+    refs = [weakref.ref(obj) for obj in (spec, q, product)]
     gc.disable()
     try:
-        del q
-        assert ref() is None
+        del spec, q, product, quandle
+        assert [ref() for ref in refs] == [None, None, None]
     finally:
         gc.enable()
 
@@ -140,13 +159,117 @@ def test_memos_leave_equality_hashing_and_repr_to_the_fields():
     tensor_square(q)
     fresh_q = validate_quandle(q.table)
     fresh_group = close_group(inner_generators(q))
-    for memoised, fresh in ((spec, fresh_spec), (q, fresh_q), (group, fresh_group)):
+    product = abelian_affine_quandle(AbelianGroup((3, 3)), DOUBLING)
+    inner_group(product)
+    fresh_product = validate_quandle(product._array)
+    assert q._affine is not None and product._affine is not None
+    assert fresh_q._affine is None and fresh_product._affine is None
+    for memoised, fresh in ((spec, fresh_spec), (q, fresh_q), (group, fresh_group),
+                            (product, fresh_product)):
         assert memoised == fresh
         assert hash(memoised) == hash(fresh)
         assert repr(memoised) == repr(fresh)
     # equal specs are distinct contexts: each builds its own quandle
     assert affine_quandle(fresh_spec) is not q
     assert affine_quandle(fresh_spec) == q
+
+
+def test_only_connected_quandles_built_from_their_group_carry_it():
+    """affine_quandle and abelian_affine_quandle give a connected result
+    its (A, f): read-only arrays, A's addition table with 0 its zero and
+    f as an intp index array.  A disconnected result, a bare copy of the
+    table and every other constructor carry nothing."""
+    q = affine_quandle(AffineSpec(13, 8))
+    add, f = q._affine
+    assert not add.flags.writeable and not f.flags.writeable
+    assert add.tolist() == [[(x + y) % 13 for y in range(13)] for x in range(13)]
+    assert f.dtype == np.intp and f.tolist() == [8 * x % 13 for x in range(13)]
+    add, f = abelian_affine_quandle(AbelianGroup((3, 3)), DOUBLING)._affine
+    assert f.dtype == np.intp and f.tolist() == list(DOUBLING.images)
+    assert add[4].tolist() == [4, 5, 3, 7, 8, 6, 1, 2, 0]  # (1, 1) + (a, b)
+    disconnected = [affine_quandle(AffineSpec(9, 4)),
+                    abelian_affine_quandle(AbelianGroup((2, 2)), SHEAR)]
+    assert not any(map(is_connected, disconnected))
+    others = [validate_quandle(q._array), validate_quandle(q.table), CayleyQuandle(q._array),
+              dihedral_quandle(7), trivial_quandle(3)]
+    assert [quandle._affine for quandle in disconnected + others] == [None] * 7
+
+
+def test_affine_quandles_close_no_group_and_propagate_no_pair(monkeypatch):
+    """For a spec's quandle, Inn is listed as A x| <f> and the tensor square
+    read off one labelling of the n points; a bare copy of the table is
+    still closed from its two translations and propagated over n^2 pairs."""
+    closures, widths = [], []
+    close, labels = inner.close_group, tensor._orbit_labels
+
+    def counted_close(generators):
+        generators = tuple(generators)
+        closures.append(len(generators))
+        return close(generators)
+
+    def counted_labels(maps):
+        widths.append(maps.shape[1])
+        return labels(maps)
+
+    monkeypatch.setattr(inner, "close_group", counted_close)
+    monkeypatch.setattr(tensor, "_orbit_labels", counted_labels)
+    spec = AffineSpec(13, 8)
+    q = affine_quandle(spec)
+    conjugacy_classes(inner_group(q))
+    assert is_multiplicity_free(q)
+    decompose_prime_affine(spec)
+    assert (closures, widths) == ([], [13])
+    bare = validate_quandle(q._array)
+    assert inner_group(bare) == inner_group(q)
+    assert is_multiplicity_free(bare)
+    assert (closures, widths) == ([2], [13, 169])
+
+
+def _carrying_quandles():
+    """(quandle, (A, f) or None) for quandles that carry (A, f): every
+    connected Aff(Z_m, t), m <= 47; every connected abelian_affine_quandle
+    of criterion 6's sweep (order <= 30, Aut(A) or, past 500 members, its
+    class representatives); and every Aff(Z_p^2, diag(s, t)), p <= 7."""
+    for spec in connected_affine_specs(47):
+        yield affine_quandle(spec), None
+    for order in range(1, 31):
+        for moduli in abelian_types(order):
+            group = AbelianGroup(moduli)
+            sweep = automorphism_permutations(group)
+            if len(sweep) > 500:
+                sweep = conjugacy_classes(automorphism_group(group)).representatives
+            for f in sweep:
+                quandle = abelian_affine_quandle(group, f)
+                if is_connected(quandle):
+                    yield quandle, (group, f)
+    for p in (3, 5, 7):
+        group = AbelianGroup((p, p))
+        for s, t in itertools.product(range(2, p), repeat=2):
+            f = Permutation(tuple(s * a % p * p + t * b % p for a in range(p) for b in range(p)))
+            yield abelian_affine_quandle(group, f), (group, f)
+
+
+def test_closed_forms_match_enumeration():
+    """Inn listed as A x| <f> and tensor classes read off y - x agree with
+    the closure and the pair propagation, run on a bare copy of each
+    table: the same image array, class labels and tensor partition."""
+    checked = 0
+    for quandle, source in _carrying_quandles():
+        bare = validate_quandle(quandle._array)
+        assert quandle._affine is not None and bare._affine is None
+        group, reference = inner_group(quandle), inner_group(bare)
+        assert group.images.dtype == reference.images.dtype
+        assert np.array_equal(group.images, reference.images)
+        assert np.array_equal(conjugacy_classes(group).labels,
+                              conjugacy_classes(reference).labels)
+        square, expected = tensor_square(quandle), tensor_square(bare)
+        for field in ("labels", "starts", "counts"):
+            got, want = getattr(square, field), getattr(expected, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        if source is not None:
+            assert group == affine_extension(*source)[0]
+        checked += 1
+    assert checked == 377 + 731 + 35
 
 
 def test_inner_group_of_trivial_quandle_is_trivial():

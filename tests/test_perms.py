@@ -176,6 +176,36 @@ def test_permutation_group_rejects_rows_that_are_not_points():
     assert swap.images.dtype == np.uint8 and swap.images.tolist() == [[0, 1], [1, 0]]
 
 
+def _rows_agreeing_on_long_prefixes(degree, tail, seed):
+    """Image rows of Sym on the last ``tail`` points of ``degree`` composed
+    with one of three fixed permutations of the first points, shuffled:
+    rows agree on degree - tail columns or differ early."""
+    rng = random.Random(seed)
+    head = degree - tail
+    prefixes = [list(range(head))] + [rng.sample(range(head), head) for _ in range(2)]
+    rows = [prefix + [head + i for i in moved]
+            for prefix in prefixes for moved in itertools.permutations(range(tail))]
+    rng.shuffle(rows)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("degree, tail", [(12, 3), (40, 4), (300, 3)])
+def test_prefix_sort_orders_rows_as_the_full_lexsort(degree, tail):
+    """Rows that agree on every column but the last few still sort exactly
+    as np.lexsort over all columns; the prefix doubles past the first
+    int64 key's width until the tail is reached."""
+    rows = _rows_agreeing_on_long_prefixes(degree, tail, seed=degree)
+    want = rows[np.lexsort(rows.T[::-1])]
+    order, distinct = perms._lexsort_order(degree, lambda width: rows[:, :width])
+    assert distinct and np.array_equal(rows[order], want)
+    images = PermutationGroup(rows).images
+    assert images.dtype == perms._dtype_for(degree) and np.array_equal(images, want)
+    doubled = np.vstack([rows, rows[:1]])
+    assert perms._lexsort_order(degree, lambda width: doubled[:, :width])[1] is False
+    with pytest.raises(ValueError, match="^duplicate elements$"):
+        PermutationGroup(doubled)
+
+
 def test_power_and_inverse():
     p = Permutation.from_cycles(6, [(0, 1, 2, 3, 4, 5)])
     assert p ** 6 == Permutation.identity(6)
