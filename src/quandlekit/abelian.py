@@ -32,7 +32,7 @@ import numpy as np
 
 from .cayley import NotAutomorphism, _with_affine, validate_quandle
 from .perms import (GroupTooLarge, Permutation, PermutationGroup, PermutationRows,
-                    _dtype_for, _lexsort_order, _memoised)
+                    _dtype_for, _lexsort_order, _memoised, _powers)
 
 # Largest number of candidate generator-image assignments that
 # automorphism_permutations expands; (2,2,2,2), the largest of any type of
@@ -262,12 +262,8 @@ def _semidirect_rows(add: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
     they are gathered in order: the group is never held unsorted too."""
     n = len(f)
     dt = _dtype_for(n)
-    add, f = add.astype(dt, copy=False), f.astype(dt, copy=False)
-    identity = np.arange(n, dtype=dt)
-    powers = [identity]
-    while ((current := powers[-1][f]) != identity).any():
-        powers.append(current)
-    powers = np.array(powers)
+    add = add.astype(dt, copy=False)
+    powers = np.array(list(_powers(f.astype(dt, copy=False))))
     k = len(powers)
     order = _lexsort_order(
         n, lambda width: np.take(add, powers[:, :width], axis=1).reshape(-1, width))[0]

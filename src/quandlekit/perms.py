@@ -36,7 +36,7 @@ replaced by their ranks among the elements' partial keys, which is exact.
 from __future__ import annotations
 
 import operator
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property, wraps
 from math import lcm
@@ -471,18 +471,34 @@ def _orbit_labels(maps: np.ndarray) -> np.ndarray:
 
     Min-label propagation with pointer jumping: each round lowers every
     label to the label of its image under each map in turn, then replaces
-    it by the label of the point it names, until a round changes nothing.
-    A label only ever names a point of the same orbit and never rises, and
-    at the fixpoint it is constant along every cycle of every map, so it is
-    the orbit's least point.  Labels have the dtype of ``maps``."""
+    it by the label of the point it names, until a round leaves the labels'
+    bytes unchanged (one memcmp; an element-wise compare costs more than a
+    round on a few dozen points).  A label only ever names a point of the
+    same orbit and never rises, and at the fixpoint it is constant along
+    every cycle of every map, so it is the orbit's least point.  Labels
+    have the dtype of ``maps``."""
     label = np.arange(maps.shape[1], dtype=maps.dtype)
+    before = label.tobytes()
     while True:
-        before = label.copy()
         for row in maps:
             np.minimum(label, label[row], out=label)
         label = label[label]
-        if np.array_equal(label, before):
+        if (after := label.tobytes()) == before:
             return label
+        before = after
+
+
+def _powers(f: np.ndarray) -> Iterator[np.ndarray]:
+    """Yield f^0, f^1, ..., f^(k-1), k = ord f, for a permutation f of
+    0..n-1 given as an index array, in its dtype; a power is the identity
+    once its bytes are the identity's."""
+    power = np.arange(len(f), dtype=f.dtype)
+    identity = power.tobytes()
+    while True:
+        yield power
+        power = power[f]
+        if power.tobytes() == identity:
+            return
 
 
 def _greedy_generators(group: PermutationGroup,

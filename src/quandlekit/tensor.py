@@ -11,8 +11,9 @@ A connected quandle built as Aff(A, f) carries (A, f)
 (cayley.CayleyQuandle._affine).  Its inner group is A x| <f>, which
 moves (x, y) to (0, y - x) and then along the <f>-orbit of y - x, so the
 least pair of the class of (x, y) is (0, d) for d the least point of that
-orbit: its tensor square is read off the n x n difference table with one
-_orbit_labels call over the n points, and no pair is propagated.
+orbit, the minimum over the powers f^0..f^(k-1): its tensor square is
+ranked on the n points and read off the n x n difference table, with no
+orbit labelling and no pair propagated.
 
 A tensor square is a perms.Partition over pair indices x*n + y: the
 class of every pair, the least pair of every class and the class sizes.
@@ -25,13 +26,13 @@ the pair space only when its classes are read.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
 from .cayley import AffineSpec, CayleyQuandle
 from .modular import conjugate_orbit, is_prime
-from .perms import Partition, _memoised, _orbit_labels
+from .perms import Partition, _memoised, _orbit_labels, _powers
 
 Pair = tuple[int, int]
 
@@ -115,14 +116,20 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     labels each pair with the least pair index of its orbit; pair-index
     order coincides with lexicographic pair order, so ranking those labels
     orders the classes by their least pair.  A quandle carrying Aff(A, f)
-    (module docstring) skips the propagation: its labels are one lookup.
+    (module docstring) skips the propagation: pair (0, d) has index d, so
+    its classes are ranked on the n points d, each n times its <f>-orbit's
+    size, and its labels are one gather over y - x.
     """
     n = quandle.order
     if quandle._affine is not None:
         add, f = quandle._affine
         # [x, y]: y - x, as row -x of add; -x is where row x holds 0, its least entry
         difference = add[add.argmin(axis=1)]
-        return TensorSquare.from_least(_orbit_labels(f[None])[difference].ravel(), order=n)
+        # pair (x, y), x >= 1, has index >= n, and its class's least pair is
+        # (0, least[y - x]): from_least's check on the points is the pairs'
+        points = Partition.from_least(reduce(np.minimum, _powers(f)))
+        return TensorSquare(labels=points.labels[difference].ravel(), starts=points.starts,
+                            counts=n * points.counts, order=n)
     columns = quandle._array.T[list(quandle._generators)]
     maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(-1, n * n)
     return TensorSquare.from_least(_orbit_labels(maps), order=n)

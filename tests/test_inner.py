@@ -16,6 +16,7 @@ from quandlekit import (
     CayleyQuandle,
     NotInGroup,
     Permutation,
+    TensorSquare,
     abelian_affine_quandle,
     abelian_types,
     affine_extension,
@@ -42,7 +43,7 @@ from quandlekit import (
     verify_translation_class,
 )
 from quandlekit import inner, tensor
-from quandlekit.perms import _element_keys
+from quandlekit.perms import _element_keys, _orbit_labels
 from conftest import connected_affine_specs
 
 
@@ -197,8 +198,9 @@ def test_only_connected_quandles_built_from_their_group_carry_it():
 
 def test_affine_quandles_close_no_group_and_propagate_no_pair(monkeypatch):
     """For a spec's quandle, Inn is listed as A x| <f> and the tensor square
-    read off one labelling of the n points; a bare copy of the table is
-    still closed from its two translations and propagated over n^2 pairs."""
+    read off the powers of f, with no orbit labelling; a bare copy of the
+    table is still closed from its two translations and propagated over n^2
+    pairs."""
     closures, widths = [], []
     close, labels = inner.close_group, tensor._orbit_labels
 
@@ -218,11 +220,11 @@ def test_affine_quandles_close_no_group_and_propagate_no_pair(monkeypatch):
     conjugacy_classes(inner_group(q))
     assert is_multiplicity_free(q)
     decompose_prime_affine(spec)
-    assert (closures, widths) == ([], [13])
+    assert (closures, widths) == ([], [])
     bare = validate_quandle(q._array)
     assert inner_group(bare) == inner_group(q)
     assert is_multiplicity_free(bare)
-    assert (closures, widths) == ([2], [13, 169])
+    assert (closures, widths) == ([2], [169])
 
 
 def _carrying_quandles():
@@ -252,7 +254,9 @@ def _carrying_quandles():
 def test_closed_forms_match_enumeration():
     """Inn listed as A x| <f> and tensor classes read off y - x agree with
     the closure and the pair propagation, run on a bare copy of each
-    table: the same image array, class labels and tensor partition."""
+    table: the same image array, class labels and tensor partition.  The
+    partition built on the n points equals the one ranked over the n^2
+    pairs from the orbit labels of f."""
     checked = 0
     for quandle, source in _carrying_quandles():
         bare = validate_quandle(quandle._array)
@@ -265,6 +269,12 @@ def test_closed_forms_match_enumeration():
         square, expected = tensor_square(quandle), tensor_square(bare)
         for field in ("labels", "starts", "counts"):
             got, want = getattr(square, field), getattr(expected, field)
+            assert got.dtype == want.dtype and np.array_equal(got, want), field
+        add, f = quandle._affine
+        ranked = TensorSquare.from_least(
+            _orbit_labels(f[None])[add[add.argmin(axis=1)]].ravel(), order=quandle.order)
+        for field in ("labels", "starts", "counts"):
+            got, want = getattr(square, field), getattr(ranked, field)
             assert got.dtype == want.dtype and np.array_equal(got, want), field
         if source is not None:
             assert group == affine_extension(*source)[0]

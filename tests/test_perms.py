@@ -489,11 +489,25 @@ def test_orbit_labels_match_plain_search(gens, data):
     degree = gens[0].degree
     reference = _reference_orbits(gens)
     least = [next(o[0] for o in reference if x in o) for x in range(degree)]
-    for dtype in (np.int32, np.intp):
+    for dtype in (np.uint8, np.uint16, np.int32, np.intp):
         labels = _orbit_labels(np.array([g.images for g in gens], dtype=dtype))
         assert labels.dtype == dtype
         assert labels.tolist() == least
     assert orbits(close_group(gens)) == reference
+
+
+@pytest.mark.parametrize("dtype, degree", [(np.uint8, 255), (np.uint16, 400),
+                                           (np.int32, 400), (np.intp, 400)])
+def test_orbit_labels_run_to_the_fixpoint_on_a_long_cycle(dtype, degree):
+    """One shuffled cycle through every point, alone and beside the
+    identity: the labels need many rounds to fall to 0, and the byte
+    compare must not stop before they do."""
+    points = np.random.default_rng(degree).permutation(degree)
+    cycle = np.empty(degree, dtype=dtype)
+    cycle[points] = np.roll(points, -1)
+    for maps in (cycle[None], np.stack([np.arange(degree, dtype=dtype), cycle])):
+        labels = _orbit_labels(maps)
+        assert labels.dtype == dtype and not labels.any()
 
 
 def test_conjugacy_classes_examples():
