@@ -32,15 +32,12 @@ import numpy as np
 
 from .cayley import NotAutomorphism, _with_affine, validate_quandle
 from .perms import (GroupTooLarge, Permutation, PermutationGroup, PermutationRows,
-                    _dtype_for, _lexsort_order, _memoised, _powers)
+                    _GATHER_CHUNK, _dtype_for, _lexsort_order, _memoised, _powers)
 
 # Largest number of candidate generator-image assignments that
 # automorphism_permutations expands; (2,2,2,2), the largest of any type of
 # order <= 31, has 16**4 = 65536.
 AUTOMORPHISM_CANDIDATE_CAP = 1 << 17
-
-# Entries _semidirect_rows gathers per step; bounds the unsorted rows it holds.
-_GATHER_CHUNK = 1 << 20
 
 
 def _partitions(n: int) -> list[tuple[int, ...]]:

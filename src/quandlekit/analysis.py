@@ -11,8 +11,7 @@ validate no quandle (recognize_affine says why both cuts are exact).
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from math import gcd
 
 from . import __version__
@@ -188,7 +187,17 @@ class AnalysisReport:
     def to_dict(self) -> dict:
         """The report as JSON-ready values (tuples become lists), with the
         schema version under "schema"."""
-        return {"schema": 1, **json.loads(json.dumps(asdict(self)))}
+        return {"schema": 1, **{f.name: _plain(getattr(self, f.name)) for f in fields(self)}}
+
+
+def _plain(value):
+    """A field value with its tuples turned into lists, recursively, as a
+    JSON round trip would give it; dicts are copied, scalars kept."""
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    return value
 
 
 def analyze(

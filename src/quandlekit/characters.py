@@ -22,7 +22,8 @@ import numpy as np
 from .cayley import AffineSpec, affine_quandle
 from .inner import InnerPresentation, inner_group, normal_form, presentation
 from .modular import conjugate_orbit, is_prime, multiplicative_order
-from .perms import ConjugacyClassSet, Permutation, PermutationGroup, conjugacy_classes
+from .perms import (ConjugacyClassSet, Permutation, PermutationGroup, _GATHER_CHUNK,
+                    conjugacy_classes)
 
 
 class BadParameters(Exception):
@@ -76,10 +77,14 @@ def inner_product(a: ClassFunction, b: ClassFunction) -> Fraction:
 
 def burnside_rank(group: PermutationGroup) -> int:
     """Number of orbits on ordered pairs: (1/|G|) sum_g fix(g)^2, computed
-    exactly over all elements."""
+    exactly over all elements, a block of rows at a time."""
     E = group.images
-    fixed = (E == np.arange(group.degree, dtype=E.dtype)).sum(axis=1).astype(np.int64)
-    total = int((fixed * fixed).sum())
+    points = np.arange(group.degree, dtype=E.dtype)
+    step = max(1, _GATHER_CHUNK // group.degree)
+    total = 0
+    for start in range(0, len(E), step):
+        fixed = (E[start : start + step] == points).sum(axis=1, dtype=np.int64)
+        total += int(fixed @ fixed)
     q, r = divmod(total, len(group))
     if r != 0:
         raise ArithmeticError("fixed-point sum not divisible by the group order")

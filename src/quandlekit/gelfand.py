@@ -19,11 +19,14 @@ products are formed from base images and located by key lookup (see
 perms), and only the ones needed: 2 |S| |G| in double_cosets, for S a
 generating set of K with |S| <= log2 |K|.  is_gelfand_pair compares the
 structure constants of the double-coset algebra, which fix each product
-of double-coset sums, at one representative per double coset: r |G|
-products for r double cosets (Ceccherini-Silberstein, Scarabotti and
-Tolli, Harmonic Analysis on Finite Groups, CUP 2008, on finite Gelfand
-pairs).  Double cosets are a perms.Partition over element indices, like
-the tensor classes, and is_gelfand_pair reads only its arrays.
+of double-coset sums, at one representative per double coset, counting
+one element per left coset z K: r d products for r double cosets when K
+is the stabilizer of 0 in a group transitive on its d points (the cosets
+are then blocks of the sorted rows), r |G| for any other K
+(Ceccherini-Silberstein, Scarabotti and Tolli, Harmonic Analysis on
+Finite Groups, CUP 2008, on finite Gelfand pairs).  Double cosets are a
+perms.Partition over element indices, like the tensor classes, and
+is_gelfand_pair reads only its arrays.
 """
 
 from __future__ import annotations
@@ -168,18 +171,39 @@ def double_cosets(group: PermutationGroup,
     return DoubleCosetPartition.from_least(least, group=group, subgroup=subgroup)
 
 
+def _left_coset_stride(group: PermutationGroup, subgroup: PermutationGroup) -> int:
+    """|K| when K is the stabilizer of 0 and G is transitive on its d
+    points, else 1.  Then z -> z(0) is constant exactly on the left cosets
+    z K, and the lexsorted rows fall into d blocks of |K| rows, one per
+    coset, so every |K|-th row is a transversal.  K's sorted rows fix 0
+    when its last does, so K lies in Stab(0); with |K| d = |G| and row
+    j |K| mapping 0 to j for every j, the rows mapping 0 to 0 number at
+    most |K|, so Stab(0) = K and every point is an image of 0."""
+    images, size = group.images, len(subgroup)
+    count, degree = images.shape
+    if (subgroup.images[-1, 0] == 0 and size * degree == count
+            and np.array_equal(images[::size, 0], np.arange(degree))):
+        return size
+    return 1
+
+
 def is_gelfand_pair(group: PermutationGroup,
                     subgroup: PermutationGroup,
                     partition: DoubleCosetPartition | None = None) -> bool:
     """True when the double-coset sums commute in the integer group ring.
 
     D_i D_j is bi-K-invariant, so it is fixed by its coefficients at the
-    coset representatives g_k: c_ijk = #{a in D_i : a^-1 g_k in D_j}, the
-    number of x in G with x^-1 in D_i and x g_k in D_j.  The pair is Gelfand
-    exactly when c_ijk = c_jik for all i, j, k, that is when, for each k,
-    the pairs (label(x^-1), label(x g_k)) over x in G form the same multiset
-    as their swaps; two sorted key arrays decide that.  Products x g_k are
-    formed from base images for a block of representatives at a time.
+    coset representatives g_k: c_ijk = #{(a, b) in D_i x D_j : a b = g_k},
+    the number of z in G with g_k z in D_i and z^-1 in D_j.  Both labels
+    are constant on each left coset z K, so one z per coset counts each
+    c_ijk |K| times too few, alike for all i, j, k: a transversal of the
+    left cosets, read off the sorted rows when K is the stabilizer of 0
+    in a transitive G (_left_coset_stride), else every element.  The pair
+    is Gelfand exactly when c_ijk = c_jik for all i, j, k, that is when,
+    for each k, the pairs (label(g_k z), label(z^-1)) over the z form the
+    same multiset as their swaps; two sorted key arrays decide that.
+    Products g_k z are formed from base images for a block of
+    representatives at a time.
 
     A partition passed in must be the one of this group and subgroup;
     ValueError otherwise.
@@ -190,7 +214,6 @@ def is_gelfand_pair(group: PermutationGroup,
         raise ValueError("partition is of another group or subgroup")
     images = group.images
     keys = _element_keys(group)
-    count = len(images)
     rank = len(partition)
     label = partition.labels
     reps = images[partition.starts]
@@ -198,14 +221,15 @@ def is_gelfand_pair(group: PermutationGroup,
     # inverses of the representatives label every inverse; the rows of
     # argsort(reps) are those inverses' images
     inverse_coset = label[keys.lookup(np.argsort(reps, axis=1)[:, : keys.base_length])]
-    inverse_label = inverse_coset[label][:, None]
-    rep_base = reps[:, : keys.base_length]
-    step = max(1, _PRODUCT_CHUNK // count)
+    stride = _left_coset_stride(group, subgroup)
+    transversal = images[::stride, : keys.base_length]
+    inverse_label = inverse_coset[label[::stride]]
+    step = max(1, _PRODUCT_CHUNK // len(transversal))
     for start in range(0, rank, step):
-        # [x, k]: label of x * g_k
-        right = label[keys.lookup(images[:, rep_base[start : start + step]])]
-        forward = np.sort(inverse_label * rank + right, axis=0)
-        backward = np.sort(right * rank + inverse_label, axis=0)
+        # [k, z]: label of g_k z
+        left = label[keys.lookup(reps[start : start + step][:, transversal])]
+        forward = np.sort(left * rank + inverse_label, axis=1)
+        backward = np.sort(inverse_label * rank + left, axis=1)
         if not np.array_equal(forward, backward):
             return False
     return True

@@ -302,6 +302,8 @@ class PermutationGroup:
         return bool(_locate(self, other.images)[1].all())
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, PermutationGroup):
             return False
         return self.degree == other.degree and np.array_equal(self.images, other.images)
@@ -331,6 +333,11 @@ _DEGREE_ZERO = "a permutation group needs degree >= 1"
 # table and is_gelfand_pair; bounds the rows and keys held at once.
 _PRODUCT_CHUNK = 1 << 14
 
+# Image entries read or gathered per step by a pass over a whole group's
+# rows (_ElementKeys, characters.burnside_rank, abelian._semidirect_rows);
+# bounds the temporaries it holds to a block of rows, not |G| x degree.
+_GATHER_CHUNK = 1 << 20
+
 # Most elements close_group lists before it raises GroupTooLarge.
 CLOSURE_CAP = 1_000_000
 
@@ -349,11 +356,15 @@ class _ElementKeys:
     def __init__(self, images: np.ndarray):
         n, degree = images.shape
         self.degree = degree
-        if n > 1:
-            first_diff = (images[1:] != images[:-1]).argmax(axis=1)
-            self.base_length = int(first_diff.max()) + 1
-        else:
-            self.base_length = 0
+        # one more than the last first-differing column of consecutive rows,
+        # compared a block of rows at a time
+        step = max(1, _GATHER_CHUNK // degree)
+        last = -1
+        for start in range(1, n, step):
+            block = images[start : start + step]
+            first_diff = (block != images[start - 1 : start - 1 + len(block)]).argmax(axis=1)
+            last = max(last, int(first_diff.max()))
+        self.base_length = last + 1
         self.folds = {}
         key = np.zeros(n, dtype=np.int64)
         bound = 1
@@ -621,10 +632,14 @@ def conjugacy_classes(group: PermutationGroup) -> ConjugacyClassSet:
 
 def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
     """Point stabilizer: the rows of the group's image array that fix the
-    point, with no Permutation built."""
+    point, read-only, with no Permutation built.  They are lexsorted,
+    distinct and hold the identity, as a subset of the group's rows, so
+    they are wrapped unchecked."""
     if not 0 <= point < group.degree:
         raise ValueError("point out of range")
-    return PermutationGroup(group.images[group.images[:, point] == point])
+    rows = group.images[group.images[:, point] == point]
+    rows.flags.writeable = False
+    return PermutationGroup._trusted(rows)
 
 
 @_memoised

@@ -1,5 +1,6 @@
 """The analysis pipeline, isomorphism search, and affine recognition."""
 
+import dataclasses
 import itertools
 import json
 import random
@@ -11,6 +12,7 @@ import pytest
 from quandlekit import (
     AbelianGroup,
     AffineSpec,
+    Permutation,
     abelian_affine_quandle,
     abelian_types,
     affine_quandle,
@@ -391,3 +393,36 @@ def test_analyze_the_tensor_product_of_two_prime_order_quandles(monkeypatch):
     assert (report.inner_order, report.stabilizer_order) == (p * p * 22, 22)
     assert report.rank == report.tensor_class_count == rank
     assert report.multiplicity_free is True and report.gelfand_pair is True
+
+
+def test_analyze_order_961_product():
+    """Aff(Z_31^2, diag(3, 2)): Inn = Z_31^2 x| <f> of order 961 * 30, with
+    38 orbits of <f> on Z_31^2; the Gelfand test counts one element per
+    coset of the stabilizer."""
+    p = 31
+    f = Permutation(tuple(3 * a % p * p + 2 * b % p for a in range(p) for b in range(p)))
+    report = analyze(abelian_affine_quandle(AbelianGroup((p, p)), f))
+    assert (report.order, report.inner_order, report.stabilizer_order) == (961, 28830, 30)
+    assert report.rank == report.tensor_class_count == 38
+    assert report.connected and report.multiplicity_free is True
+    assert report.gelfand_pair is True
+
+
+def test_report_dict_equals_its_json_round_trip(order12):
+    """to_dict converts the fields directly; it gives what a JSON round
+    trip of dataclasses.asdict gave, for a spec, a relabelled bare table
+    (recognised, with a decomposition), the bundled table (with a witness)
+    and a disconnected quandle."""
+    spec = AffineSpec(13, 9)
+    reports = [
+        analyze(affine_quandle(spec), spec=spec, source="affine(13,9)"),
+        analyze(_shuffled(affine_quandle(AffineSpec(11, 2)), random.Random(3))),
+        analyze(order12, source="bundled"),
+        analyze(trivial_quandle(3)),
+    ]
+    assert reports[1].decomposition and reports[2].commutation_witness
+    assert reports[3].gelfand_pair is None
+    for report in reports:
+        expected = {"schema": 1, **json.loads(json.dumps(dataclasses.asdict(report)))}
+        assert report.to_dict() == expected
+        assert json.dumps(report.to_dict()) == json.dumps(expected)

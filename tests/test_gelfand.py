@@ -6,12 +6,17 @@ import numpy as np
 import pytest
 
 from quandlekit import (
+    AbelianGroup,
     AffineSpec,
     NotASubgroup,
     NotConnected,
     Permutation,
     PermutationGroup,
+    abelian_types,
+    affine_extension,
     affine_quandle,
+    automorphism_group,
+    automorphism_permutations,
     burnside_rank,
     close_group,
     dihedral_quandle,
@@ -21,13 +26,14 @@ from quandlekit import (
     is_connected,
     is_gelfand_pair,
     is_multiplicity_free,
+    orbits,
     stabilizer,
     tau_quotient,
     tensor_square,
     trivial_quandle,
     validate_quandle,
 )
-from quandlekit.gelfand import DoubleCosetPartition
+from quandlekit.gelfand import DoubleCosetPartition, _left_coset_stride
 from quandlekit.perms import _PRODUCT_CHUNK, _ElementKeys, _element_keys, conjugacy_classes
 from conftest import (
     connected_affine_specs,
@@ -471,3 +477,106 @@ def test_tensor_square_memory():
     assert (len(square), result.value, result.orbital_count) == (2, True, 2)
     assert peak < 0.75 * 2**20
     assert held < 0.1 * 2**20
+
+
+def _every_element_is_gelfand_pair(group, subgroup, partition):
+    """A frozen copy of the Gelfand test that counts every x in G: c_ijk is
+    the number of x with x^-1 in D_i and x g_k in D_j, compared with c_jik
+    by two sorted key arrays per block of representatives."""
+    images = group.images
+    keys = _element_keys(group)
+    rank = len(partition)
+    label = partition.labels
+    reps = images[partition.starts]
+    inverse_coset = label[keys.lookup(np.argsort(reps, axis=1)[:, : keys.base_length])]
+    inverse_label = inverse_coset[label][:, None]
+    rep_base = reps[:, : keys.base_length]
+    step = max(1, _PRODUCT_CHUNK // len(images))
+    for start in range(0, rank, step):
+        right = label[keys.lookup(images[:, rep_base[start : start + step]])]
+        forward = np.sort(inverse_label * rank + right, axis=0)
+        backward = np.sort(right * rank + inverse_label, axis=0)
+        if not np.array_equal(forward, backward):
+            return False
+    return True
+
+
+def _criterion_6_pairs():
+    """(A x| <f>, <f>) over criterion 6's sweep: every abelian type of order
+    <= 30, every automorphism, or past 500 of them the representatives of
+    Aut(A)'s classes."""
+    for order in range(1, 31):
+        for moduli in abelian_types(order):
+            abelian = AbelianGroup(moduli)
+            sweep = automorphism_permutations(abelian)
+            if len(sweep) > 500:
+                sweep = conjugacy_classes(automorphism_group(abelian)).representatives
+            for f in sweep:
+                yield affine_extension(abelian, f)
+
+
+def _fallback_pairs():
+    """Pairs whose K is no stabilizer of 0 in a transitive G, so the test
+    counts every element: subgroups of Inn(47, 5)'s stabilizer of order 2
+    and 23, which fix 0, and its trivial subgroup (none of the three is
+    Gelfand); the stabilizer of 5; the whole group; and S3 x S2 on 6
+    points over <(1 2)> and over <(3 4)>, which fix 0 and have |K| d = |G|
+    in a group that is not transitive (Gelfand over <(1 2)> only)."""
+    group = inner_group(affine_quandle(AffineSpec(47, 5)))
+    stab = stabilizer(group, 0)
+    for order in (2, 23):
+        rows = [row for row in stab if (row ** order).is_identity()]
+        yield group, PermutationGroup.from_elements(rows)
+    yield group, stabilizer(group, 5)
+    yield group, PermutationGroup.from_elements([Permutation.identity(47)])
+    yield group, group
+    # S3 x S2 on {0, 1, 2} and {3, 4}, fixing 5: |G| = 2 d
+    product = close_group([Permutation.from_cycles(6, [(0, 1, 2)]),
+                           Permutation.from_cycles(6, [(0, 1)]),
+                           Permutation.from_cycles(6, [(3, 4)])])
+    for swap in ((1, 2), (3, 4)):
+        yield product, close_group([Permutation.from_cycles(6, [swap])])
+
+
+@pytest.mark.parametrize("family", ["affine m <= 47", "differential pairs", "criterion 6",
+                                    "no stabilizer of 0"])
+def test_gelfand_pair_matches_the_every_element_count(family, order12):
+    """One element per left coset z K gives the verdict of counting every
+    element.  The coset blocks are read off the sorted rows exactly for a
+    stabilizer of 0 in a transitive group."""
+    pairs = {"affine m <= 47": lambda: _stabilizer_pairs(47),
+             "differential pairs": lambda: differential_pairs(order12),
+             "criterion 6": _criterion_6_pairs,
+             "no stabilizer of 0": _fallback_pairs}[family]()
+    count = negatives = 0
+    for group, sub in pairs:
+        part = double_cosets(group, sub)
+        verdict = is_gelfand_pair(group, sub, part)
+        assert verdict == _every_element_is_gelfand_pair(group, sub, part), (group, sub)
+        stride = _left_coset_stride(group, sub)
+        transitive = len(orbits(group)) == 1
+        point_stabilizer = transitive and sub == stabilizer(group, 0)
+        assert stride == (len(sub) if point_stabilizer else 1), (group, sub)
+        if family == "no stabilizer of 0":
+            assert stride == 1
+        count += 1
+        negatives += not verdict
+    assert (count, negatives) == {"affine m <= 47": (377, 0), "differential pairs": (309, 15),
+                                  "criterion 6": (1910, 0), "no stabilizer of 0": (7, 4)}[family]
+
+
+def test_gelfand_pair_looks_up_one_element_per_coset(monkeypatch):
+    """On Inn(47, 5) over its stabilizer, r d + r base rows are looked up
+    (r d products g_k z and the r inverses of the representatives), not
+    the r |G| products of counting every element."""
+    group = inner_group(affine_quandle(AffineSpec(47, 5)))
+    sub = stabilizer(group, 0)
+    part = double_cosets(group, sub)
+    rows = []
+    lookup = _ElementKeys.lookup
+    monkeypatch.setattr(_ElementKeys, "lookup",
+                        lambda keys, base: rows.append(base[..., 0].size) or lookup(keys, base))
+    assert is_gelfand_pair(group, sub, part)
+    rank = len(part)
+    assert (rank, len(group)) == (2, 2162)
+    assert sum(rows) == rank * 47 + rank

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from quandlekit.abelian import (
     AbelianGroup,
+    abelian_affine_quandle,
     abelian_types,
     affine_extension,
     automorphism_group,
@@ -889,6 +890,58 @@ def test_stabilizer_builds_no_permutation(monkeypatch):
     stab = stabilizer(group, 0)
     assert built == 0
     assert len(stab) == 46 and not stab.images[:, 0].any()
+
+
+def _product_inner_group(p, s, t):
+    """Inn of Aff(Z_p^2, diag(s, t)), the point (a, b) at index p a + b."""
+    f = Permutation(tuple(s * a % p * p + t * b % p for a in range(p) for b in range(p)))
+    return inner_group(abelian_affine_quandle(AbelianGroup((p, p)), f))
+
+
+def test_stabilizer_is_the_checked_group_of_its_rows():
+    """At every point of transitive groups (S4, Inn(13, 8), and Inn of
+    Aff(Z_17^2, diag(3, 2)) in uint16) and of an intransitive one, the
+    stabilizer wrapped unchecked equals the checked PermutationGroup of its
+    rows in images, dtype and read-only flag."""
+    intransitive = close_group([Permutation.from_cycles(6, [(0, 1, 2)]),
+                                Permutation.from_cycles(6, [(3, 4)])])
+    s4 = close_group([Permutation.from_cycles(4, [(0, 1, 2, 3)]),
+                      Permutation.from_cycles(4, [(0, 1)])])
+    groups = [s4, inner_group(affine_quandle(AffineSpec(13, 8))),
+              _product_inner_group(17, 3, 2), intransitive]
+    assert [len(orbits(g)) for g in groups] == [1, 1, 1, 3]
+    for group in groups:
+        for point in range(group.degree):
+            stab = stabilizer(group, point)
+            checked = PermutationGroup(group.images[group.images[:, point] == point])
+            assert stab.images.dtype == checked.images.dtype
+            assert np.array_equal(stab.images, checked.images)
+            assert not stab.images.flags.writeable and not checked.images.flags.writeable
+    assert stabilizer(intransitive, 5) == intransitive
+    assert stabilizer(groups[2], 0).images.dtype == np.uint16
+
+
+def test_whole_group_passes_hold_a_block_of_rows():
+    """_ElementKeys and burnside_rank read Inn of Aff(Z_31^2, diag(3, 2)),
+    28830 rows of degree 961, a block of rows at a time: the tracemalloc
+    peak of each call stays far below |G| d bytes, one whole-group boolean
+    array."""
+    import tracemalloc
+
+    from quandlekit.characters import burnside_rank
+
+    group = _product_inner_group(31, 3, 2)
+    assert (len(group), group.degree) == (28830, 961)
+    for call, expected in ((lambda: perms._ElementKeys(group.images).base_length, 32),
+                           (lambda: burnside_rank(group), 38)):
+        tracemalloc.start()
+        try:
+            result = call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == expected
+        assert peak < len(group) * group.degree / 8
 
 
 def test_group_rejects_mixed_degrees():

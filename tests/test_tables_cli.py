@@ -286,6 +286,12 @@ def test_cli_scan_json(tmp_path, capsys):
          "bb5d947c135c3b1150db92ae87b09ad2c234b622bcac958909ca738c6be401d8"),
         (["analyze", "--json", "-", "--bundled"],
          "5009c527ef7f0750025d80cdfe78fd033eb64c902c450abc26e45c49118a503b"),
+        (["analyze", "--json", "-", "--affine", "43", "3"],
+         "8491bde4f28295a97e06f65dbefc1bb6c3ae9ae191725162edbdb60113a0c255"),
+        (["gelfand", "--affine", "43", "3"],
+         "1816b22824af7b124358f0404edc6f49004b09117f6898da089b60e9ca4a9d1a"),
+        (["gelfand", "--bundled"],
+         "bb6b46ba1a738e9bccf3feec08f908d13312029341f4d9efb0e1ba703d6a9adf"),
     ],
 )
 def test_cli_json_output_is_pinned(argv, digest, capsys):
