@@ -15,11 +15,13 @@ constructions make work on the n x n addition table of element-list
 indices.  The enumeration checks its image array once and keeps it,
 read-only; automorphism_permutations is a sequence over its rows that
 builds a Permutation only for a row that is read, and automorphism_group,
-the extension and the translation group are built from image arrays alone.  The coordinate array, the table, the image array
-and that sequence are memoised on the AbelianGroup (perms._memoised), so
+the extension and the translation group are built from image arrays
+alone.  The coordinate array, the table, the image array and that
+sequence are memoised on the AbelianGroup (perms._memoised), so
 automorphism_group and every extension of one group reuse them.  The
 extension is listed already sorted, with no closure (_semidirect_rows),
-as inner.inner_group lists Inn of a quandle that carries (A, f).
+as inner.inner_group lists Inn of a quandle that carries (A, f), and <f>
+is its stabilizer of 0.  The quandle is built by cayley._aff_quandle.
 """
 
 from __future__ import annotations
@@ -30,9 +32,9 @@ from math import prod
 
 import numpy as np
 
-from .cayley import NotAutomorphism, _with_affine, validate_quandle
+from .cayley import NotAutomorphism, _aff_quandle
 from .perms import (GroupTooLarge, Permutation, PermutationGroup, PermutationRows,
-                    _GATHER_CHUNK, _dtype_for, _lexsort_order, _memoised, _powers)
+                    _GATHER_CHUNK, _dtype_for, _lexsort_order, _memoised, _powers, stabilizer)
 
 # Largest number of candidate generator-image assignments that
 # automorphism_permutations expands; (2,2,2,2), the largest of any type of
@@ -249,14 +251,14 @@ def _additive(group: AbelianGroup, automorphism: Permutation) -> np.ndarray:
     return f
 
 
-def _semidirect_rows(add: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Image rows of A x| <f>, lexsorted and read-only, and the powers
-    f^0..f^(k-1), k = ord f, both in _dtype_for(n), for an abelian group A
-    on 0..n-1 given by its addition table (0 its zero) and an automorphism
-    f given as an index array.  Member (a, i), y -> a + f^i(y), has column
-    c add[a, f^i(c)], so its order is read off those columns before any row
-    is built; column 0 is a, so each a holds k consecutive sorted rows, and
-    they are gathered in order: the group is never held unsorted too."""
+def _semidirect_rows(add: np.ndarray, f: np.ndarray) -> np.ndarray:
+    """Image rows of A x| <f>, lexsorted, read-only and in _dtype_for(n),
+    for an abelian group A on 0..n-1 given by its addition table (0 its
+    zero) and an automorphism f given as an index array.  Member (a, i),
+    y -> a + f^i(y), has column c add[a, f^i(c)], so its order is read off
+    those columns before any row is built; column 0 is a, so each a holds
+    k = ord f consecutive sorted rows, and they are gathered in order: the
+    group is never held unsorted too."""
     n = len(f)
     dt = _dtype_for(n)
     add = add.astype(dt, copy=False)
@@ -272,7 +274,7 @@ def _semidirect_rows(add: np.ndarray, f: np.ndarray) -> tuple[np.ndarray, np.nda
         rows[a : a + step] = members[np.arange(len(members))[:, None], exponent[a : a + step]]
     rows = rows.reshape(-1, n)
     rows.flags.writeable = False
-    return rows, powers
+    return rows
 
 
 def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
@@ -287,14 +289,7 @@ def abelian_affine_quandle(group: AbelianGroup, automorphism: Permutation):
     (cayley.CayleyQuandle): inner_group lists Inn as that extension and
     tensor_square reads the class of (x, y) off the <f>-orbit of y - x.
     """
-    moduli = np.array(group.moduli, dtype=np.int64)
-    coords = _coordinates(group)
-    f = _additive(group, automorphism)
-    f_coords = coords[f]
-    drift = coords - f_coords
-    # [x, y]: coordinates of f(x) + y - f(y), then its mixed-radix index
-    table = (f_coords[:, None, :] + drift[None, :, :]) % moduli @ _radix_weights(moduli)
-    return _with_affine(validate_quandle(table), _addition_table(group), f)
+    return _aff_quandle(_addition_table(group), _additive(group, automorphism))
 
 
 def affine_extension(
@@ -304,10 +299,11 @@ def affine_extension(
     cyclic subgroup generated by f.
 
     Element count is |A| * order(f); the pair realizes (A x| <f>, <f>)
-    acting on A.  The powers of f are index arrays, and every member is one
-    row of a single gather on the addition table (_semidirect_rows, which
-    inner.inner_group shares).  Raises NotAutomorphism when f is not
-    additive (_additive).
+    acting on A.  Every member is one row of a single gather on the
+    addition table (_semidirect_rows, which inner.inner_group shares), and
+    <f> is the stabilizer of 0, the members with a = 0.  Raises
+    NotAutomorphism when f is not additive (_additive).
     """
-    rows, powers = _semidirect_rows(_addition_table(group), _additive(group, automorphism))
-    return PermutationGroup._trusted(rows), PermutationGroup(powers)
+    f = _additive(group, automorphism)
+    big = PermutationGroup._trusted(_semidirect_rows(_addition_table(group), f))
+    return big, stabilizer(big, 0)

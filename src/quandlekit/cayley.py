@@ -13,12 +13,12 @@ columns that suffices: for bijective endomorphisms R_s and R_z, so are
 R_{R_s(z)} = R_s R_z R_s^-1 and R_{R_s^-1(z)} = R_s^-1 R_z R_s, so such z are
 closed under R_s and R_s^-1 for every such s; holding S, they hold all.
 
-affine_quandle and abelian.abelian_affine_quandle keep the (A, f) of a
-connected Aff(A, f), x > y = f(x) + y - f(y), beside its validated table
-as CayleyQuandle._affine: A's addition table on the points (0 its zero)
-and f as an intp index array, both read-only.  inner.inner_group and
-tensor.tensor_square read it in closed form.  Every other quandle, a bare
-copy of such a table included, keeps None there.
+affine_quandle and abelian.abelian_affine_quandle both build Aff(A, f),
+x > y = f(x) + y - f(y), with _aff_quandle, from A's addition table on
+the points (0 its zero) and f as an index array.  A connected result keeps
+the two, read-only, beside its validated table as CayleyQuandle._affine;
+inner.inner_group and tensor.tensor_square read it in closed form.  Every
+other quandle, a bare copy of such a table included, keeps None there.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from math import gcd
 import numpy as np
 
 from .modular import multiplicative_order
-from .perms import (Permutation, PermutationRows, _dtype_for, _element_keys,
+from .perms import (Permutation, PermutationRows, _GATHER_CHUNK, _dtype_for, _element_keys,
                     _greedy_generators, _integers, _locate, _memoised, _orbit_labels,
                     close_group)
 
@@ -115,10 +115,6 @@ class CayleyQuandle:
         return f"CayleyQuandle(order={self.order})"
 
 
-# Entries of (x > y) > z compared per step in the axiom-3 check.
-_AXIOM3_CHUNK = 1 << 14
-
-
 def _generating_set(T: np.ndarray) -> tuple[tuple[int, ...], bool]:
     """A generating set S of the quandle, grown from (0, 1) (module
     docstring), and whether the quandle is connected; R_0 fixes 0, so
@@ -136,17 +132,17 @@ def _generating_set(T: np.ndarray) -> tuple[tuple[int, ...], bool]:
         S += fresh.tolist()
 
 
-def _axiom3_witness(T: np.ndarray, columns):
-    """The first (x, y, z) with z in ``columns`` (ascending), in
-    lexicographic order, at which (x > y) > z != (x > z) > (y > z); None
-    when there is none."""
+def _axiom3_witness(T: np.ndarray, columns, stop: int):
+    """The first (x, y, z) with z in ``columns`` (ascending) and x < stop,
+    in lexicographic order, at which (x > y) > z != (x > z) > (y > z); None
+    when there is none.  Compares perms._GATHER_CHUNK entries per block of x."""
     n = len(T)
     Tk = T[:, columns]
-    block = max(1, _AXIOM3_CHUNK // (n * len(columns)))
-    for start in range(0, n, block):
-        Tx = Tk[start : start + block]
+    block = max(1, _GATHER_CHUNK // (n * len(columns)))
+    for start in range(0, stop, block):
+        end = min(start + block, stop)
         # [x, y, z]: (x > y) > z against (x > z) > (y > z)
-        mismatch = Tk[T[start : start + block]] != T[Tx[:, None, :], Tk[None, :, :]]
+        mismatch = Tk[T[start:end]] != T[Tk[start:end, None, :], Tk[None, :, :]]
         first = int(mismatch.argmax())
         if mismatch.flat[first]:
             x, y, z = np.unravel_index(first, mismatch.shape)
@@ -183,8 +179,10 @@ def _checked(table) -> tuple[np.ndarray, tuple[int, ...], bool]:
     if bad.size:
         raise AxiomViolation(2, (int(bad[0]),))
     generators, connected = _generating_set(T)
-    if _axiom3_witness(T, generators) is not None:
-        raise AxiomViolation(3, _axiom3_witness(T, range(n)))
+    witness = _axiom3_witness(T, generators, n)
+    if witness is not None:
+        # the first witness over every z comes no later, so at no larger x
+        raise AxiomViolation(3, _axiom3_witness(T, range(n), witness[0] + 1))
     T.flags.writeable = False
     return T, generators, connected
 
@@ -197,8 +195,8 @@ def validate_quandle(table) -> CayleyQuandle:
     the first offending row or entry in row-major order; a failed axiom raises
     AxiomViolation with the first witness, in axiom order.  Axiom 3 is
     checked at z in the generating set (module docstring), over blocks of
-    x; only if that fails are all n columns scanned, for the first witness
-    (x, y, z)."""
+    x; only if that fails are all n columns scanned, up to the x at which
+    it failed, for the first witness (x, y, z)."""
     return CayleyQuandle(table)
 
 
@@ -241,9 +239,14 @@ class AffineSpec:
         return gcd(1 - self.multiplier, self.modulus) == 1
 
 
-def _with_affine(q: CayleyQuandle, add: np.ndarray, f: np.ndarray) -> CayleyQuandle:
-    """q, carrying (add, f) as its ``_affine`` when it is connected; the
-    caller vouches that q is Aff(A, f) for A with addition table add."""
+def _aff_quandle(add: np.ndarray, f: np.ndarray) -> CayleyQuandle:
+    """The validated Aff(A, f), x > y = f(x) + (y - f(y)): the rows f(x) of
+    A's addition table add (0 its zero), then its columns y - f(y), -a
+    being where row a holds 0, its least entry.  The caller vouches that
+    the index array f is additive.  A connected result carries (add, f),
+    read-only, as its ``_affine``."""
+    drift = add[np.arange(len(f)), add.argmin(axis=1)[f]]  # y - f(y)
+    q = validate_quandle(add[f][:, drift])
     if q._connected:
         add.flags.writeable = f.flags.writeable = False
         q.__dict__["_affine"] = (add, f)
@@ -252,13 +255,12 @@ def _with_affine(q: CayleyQuandle, add: np.ndarray, f: np.ndarray) -> CayleyQuan
 
 @_memoised
 def affine_quandle(spec: AffineSpec) -> CayleyQuandle:
-    """The validated table of the spec's quandle; memoised on the spec, so
-    every call with one spec object returns the same quandle.  A connected
-    one carries (Z_m, x -> t x) as its ``_affine``."""
+    """The validated table of the spec's quandle, Aff(Z_m, x -> t x)
+    (_aff_quandle); memoised on the spec, so every call with one spec
+    object returns the same quandle."""
     m, t = spec.modulus, spec.multiplier
     x = np.arange(m)
-    q = validate_quandle((t * x[:, None] + (1 - t) % m * x) % m)
-    return _with_affine(q, ((x[:, None] + x) % m).astype(_dtype_for(m)), t * x % m)
+    return _aff_quandle(((x[:, None] + x) % m).astype(_dtype_for(m)), t * x % m)
 
 
 def trivial_quandle(n: int) -> CayleyQuandle:

@@ -20,9 +20,8 @@ perms), and only the ones needed: 2 |S| |G| in double_cosets, for S a
 generating set of K with |S| <= log2 |K|.  is_gelfand_pair compares the
 structure constants of the double-coset algebra, which fix each product
 of double-coset sums, at one representative per double coset, counting
-one element per left coset z K: r d products for r double cosets when K
-is the stabilizer of 0 in a group transitive on its d points (the cosets
-are then blocks of the sorted rows), r |G| for any other K
+one element per left coset z K, as double_cosets found them: r [G:K]
+products for r double cosets, for every subgroup K
 (Ceccherini-Silberstein, Scarabotti and Tolli, Harmonic Analysis on
 Finite Groups, CUP 2008, on finite Gelfand pairs).  Double cosets are a
 perms.Partition over element indices, like the tensor classes, and
@@ -43,10 +42,11 @@ from .perms import (
     Partition,
     Permutation,
     PermutationGroup,
-    _PRODUCT_CHUNK,
+    _GATHER_CHUNK,
     _element_keys,
     _greedy_generators,
     _locate,
+    _memoised,
     _orbit_labels,
 )
 from .tensor import tensor_square
@@ -155,36 +155,34 @@ class DoubleCosetPartition(Partition):
 
 def double_cosets(group: PermutationGroup,
                   subgroup: PermutationGroup) -> DoubleCosetPartition:
-    """All K g K for K the given subgroup: the orbits of K x K acting by
-    g -> h g k^-1, generated by g -> s g and g -> g s over a greedy
-    generating set S of K, |S| <= log2 |K|.  Each element is labelled by
-    the least index in its orbit from 2 |S| |G| products, and ranking the
-    labels orders the cosets by least member."""
+    """All K g K for K the given subgroup, from a greedy generating set S
+    of K, |S| <= log2 |K|.  The orbits of the maps g -> g s over S are the
+    left cosets z K, each labelled by its least member; K permutes them,
+    z K -> s z K by the maps g -> s g, and its orbits on them are the
+    double cosets: 2 |S| |G| products.  Ranking the least members orders
+    the double cosets by least member.  The least members of the left
+    cosets seed the partition's _left_transversal."""
     members, found = _locate(group, subgroup.images)
     if not found.all():
         raise NotASubgroup("second argument must be a subgroup of the first")
     images, keys = group.images, _element_keys(group)
     rows, left = _greedy_generators(group, members)
     # g -> g s from the base images of g * s
-    right = [keys.lookup(images[:, s[: keys.base_length]]) for s in rows]
-    least = _orbit_labels(np.vstack([left, *right], dtype=np.int32)).astype(np.intp)
-    return DoubleCosetPartition.from_least(least, group=group, subgroup=subgroup)
+    right = np.array([keys.lookup(images[:, s[: keys.base_length]]) for s in rows], np.int32)
+    coset = _orbit_labels(right.reshape(len(rows), len(images)))  # the least member of z K
+    transversal = np.flatnonzero(coset == np.arange(len(coset)))
+    index = np.searchsorted(transversal, coset)  # of z K among the left cosets
+    least = transversal[_orbit_labels(index[left[:, transversal]])[index]]
+    partition = DoubleCosetPartition.from_least(least, group=group, subgroup=subgroup)
+    partition.__dict__["_left_transversal"] = transversal
+    return partition
 
 
-def _left_coset_stride(group: PermutationGroup, subgroup: PermutationGroup) -> int:
-    """|K| when K is the stabilizer of 0 and G is transitive on its d
-    points, else 1.  Then z -> z(0) is constant exactly on the left cosets
-    z K, and the lexsorted rows fall into d blocks of |K| rows, one per
-    coset, so every |K|-th row is a transversal.  K's sorted rows fix 0
-    when its last does, so K lies in Stab(0); with |K| d = |G| and row
-    j |K| mapping 0 to j for every j, the rows mapping 0 to 0 number at
-    most |K|, so Stab(0) = K and every point is an image of 0."""
-    images, size = group.images, len(subgroup)
-    count, degree = images.shape
-    if (subgroup.images[-1, 0] == 0 and size * degree == count
-            and np.array_equal(images[::size, 0], np.arange(degree))):
-        return size
-    return 1
+@_memoised
+def _left_transversal(partition: DoubleCosetPartition) -> np.ndarray:
+    """The least member of each left coset z K, ascending, as double_cosets
+    seeds it; a partition built another way reads it off a fresh one."""
+    return _left_transversal(double_cosets(partition.group, partition.subgroup))
 
 
 def is_gelfand_pair(group: PermutationGroup,
@@ -195,13 +193,12 @@ def is_gelfand_pair(group: PermutationGroup,
     D_i D_j is bi-K-invariant, so it is fixed by its coefficients at the
     coset representatives g_k: c_ijk = #{(a, b) in D_i x D_j : a b = g_k},
     the number of z in G with g_k z in D_i and z^-1 in D_j.  Both labels
-    are constant on each left coset z K, so one z per coset counts each
-    c_ijk |K| times too few, alike for all i, j, k: a transversal of the
-    left cosets, read off the sorted rows when K is the stabilizer of 0
-    in a transitive G (_left_coset_stride), else every element.  The pair
-    is Gelfand exactly when c_ijk = c_jik for all i, j, k, that is when,
-    for each k, the pairs (label(g_k z), label(z^-1)) over the z form the
-    same multiset as their swaps; two sorted key arrays decide that.
+    are constant on each left coset z K, so one z per coset
+    (_left_transversal) counts each c_ijk |K| times too few, alike for all
+    i, j, k: r [G:K] products.  The pair is Gelfand exactly when
+    c_ijk = c_jik for all i, j, k, that is when, for each k, the pairs
+    (label(g_k z), label(z^-1)) over the z form the same multiset as their
+    swaps; two sorted key arrays decide that.
     Products g_k z are formed from base images for a block of
     representatives at a time.
 
@@ -221,10 +218,10 @@ def is_gelfand_pair(group: PermutationGroup,
     # inverses of the representatives label every inverse; the rows of
     # argsort(reps) are those inverses' images
     inverse_coset = label[keys.lookup(np.argsort(reps, axis=1)[:, : keys.base_length])]
-    stride = _left_coset_stride(group, subgroup)
-    transversal = images[::stride, : keys.base_length]
-    inverse_label = inverse_coset[label[::stride]]
-    step = max(1, _PRODUCT_CHUNK // len(transversal))
+    members = _left_transversal(partition)
+    transversal = images[members, : keys.base_length]
+    inverse_label = inverse_coset[label[members]]
+    step = max(1, _GATHER_CHUNK // (transversal.size or 1))
     for start in range(0, rank, step):
         # [k, z]: label of g_k z
         left = label[keys.lookup(reps[start : start + step][:, transversal])]

@@ -57,7 +57,7 @@ def inner_group(q: CayleyQuandle) -> PermutationGroup:
     translations = q._array.T[list(q._generators)]
     if q._affine is None:
         return close_group(map(Permutation._trusted, translations.tolist()))
-    rows = _semidirect_rows(*q._affine)[0]
+    rows = _semidirect_rows(*q._affine)
     return _generated_by(PermutationGroup._trusted(rows), translations.astype(rows.dtype))
 
 

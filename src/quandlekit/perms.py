@@ -329,13 +329,11 @@ _KEY_LIMIT = 1 << 63
 
 _DEGREE_ZERO = "a permutation group needs degree >= 1"
 
-# Products formed or located per step by close_group, the Cayley index
-# table and is_gelfand_pair; bounds the rows and keys held at once.
-_PRODUCT_CHUNK = 1 << 14
-
-# Image entries read or gathered per step by a pass over a whole group's
-# rows (_ElementKeys, characters.burnside_rank, abelian._semidirect_rows);
-# bounds the temporaries it holds to a block of rows, not |G| x degree.
+# Entries read, gathered or compared per step by every blocked pass: over a
+# whole group's rows (_ElementKeys, characters.burnside_rank,
+# abelian._semidirect_rows), over products (close_group, the Cayley index
+# table, gelfand.is_gelfand_pair) and over the axiom-3 check
+# (cayley._axiom3_witness); bounds the temporaries it holds to a block.
 _GATHER_CHUNK = 1 << 20
 
 # Most elements close_group lists before it raises GroupTooLarge.
@@ -432,8 +430,8 @@ def close_group(generators) -> PermutationGroup:
     """The group generated by ``generators``, listed in one breadth-first pass
     from the identity under left multiplication by the distinct non-identity
     generators, which it stores as the group's generating set
-    (_generating_rows).  The first block of at most _PRODUCT_CHUNK products
-    that passes CLOSURE_CAP raises GroupTooLarge."""
+    (_generating_rows).  The first block of products, at most _GATHER_CHUNK
+    image entries, that passes CLOSURE_CAP raises GroupTooLarge."""
     gens = tuple(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -446,7 +444,7 @@ def close_group(generators) -> PermutationGroup:
     width = degree * np.dtype(dt).itemsize
     gen_arr = np.array(list(dict.fromkeys(g.images for g in gens)), dtype=dt)
     gen_arr = gen_arr[(gen_arr != np.arange(degree)).any(axis=1)]
-    block = max(1, _PRODUCT_CHUNK // (len(gen_arr) or 1))
+    block = max(1, _GATHER_CHUNK // ((len(gen_arr) or 1) * degree))
     seen = {np.arange(degree, dtype=dt).tobytes()}
     # the queue keeps first-seen order; set order varies with the per-process hash
     queue = list(seen)
@@ -650,7 +648,7 @@ def cayley_index_table(group: PermutationGroup) -> np.ndarray:
     element_keys = _element_keys(group)
     n = len(group)
     base_columns = E[:, : element_keys.base_length]
-    rows = max(1, _PRODUCT_CHUNK // n)
+    rows = max(1, _GATHER_CHUNK // (n * element_keys.base_length or 1))
     table = np.empty((n, n), dtype=np.int32)
     for start in range(0, n, rows):
         # products[r, j] holds the base images of elements[start + r] * elements[j]

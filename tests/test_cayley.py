@@ -512,10 +512,10 @@ def corrupted_affine_tables(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(corrupted_affine_tables(), st.sampled_from([1, 40, 300, cayley._AXIOM3_CHUNK]))
+@given(corrupted_affine_tables(), st.sampled_from([1, 40, 300, cayley._GATHER_CHUNK]))
 def test_validate_matches_triple_loop_on_corrupted_tables(rows, chunk):
     # small chunks put the first axiom-3 witness past the first x-block
-    with mock.patch.object(cayley, "_AXIOM3_CHUNK", chunk):
+    with mock.patch.object(cayley, "_GATHER_CHUNK", chunk):
         assert _verdict(rows) == _reference_verdict(rows)
 
 
@@ -575,9 +575,9 @@ def corrupted_reduced_tables(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(corrupted_reduced_tables(), st.sampled_from([1, 40, 300, cayley._AXIOM3_CHUNK]))
+@given(corrupted_reduced_tables(), st.sampled_from([1, 40, 300, cayley._GATHER_CHUNK]))
 def test_validate_matches_triple_loop_on_corrupted_reduced_tables(rows, chunk):
-    with mock.patch.object(cayley, "_AXIOM3_CHUNK", chunk):
+    with mock.patch.object(cayley, "_GATHER_CHUNK", chunk):
         assert _verdict(rows) == _reference_verdict(rows)
 
 

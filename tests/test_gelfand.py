@@ -33,8 +33,8 @@ from quandlekit import (
     trivial_quandle,
     validate_quandle,
 )
-from quandlekit.gelfand import DoubleCosetPartition, _left_coset_stride
-from quandlekit.perms import _PRODUCT_CHUNK, _ElementKeys, _element_keys, conjugacy_classes
+from quandlekit.gelfand import DoubleCosetPartition, _left_transversal
+from quandlekit.perms import _ElementKeys, _element_keys, conjugacy_classes
 from conftest import (
     connected_affine_specs,
     differential_pairs,
@@ -368,7 +368,7 @@ def _two_sided_least(group, subgroup):
     sub_images = subgroup.images
     sub_base = sub_images[:, : keys.base_length]
     count = len(images)
-    step = max(1, _PRODUCT_CHUNK // len(sub_images))
+    step = max(1, (1 << 14) // len(sub_images))
     left_min = np.empty(count, dtype=np.intp)
     label = np.empty(count, dtype=np.intp)
     for start in range(0, count, step):
@@ -397,6 +397,9 @@ def test_double_cosets_match_the_two_sided_pass(family, order12):
         for field in ("labels", "starts", "counts"):
             got, want = getattr(part, field), getattr(reference, field)
             assert got.dtype == want.dtype and np.array_equal(got, want), (group, sub, field)
+        # a partition built another way reads the transversal double_cosets seeds
+        assert "_left_transversal" not in vars(reference)
+        assert np.array_equal(_left_transversal(reference), _left_transversal(part))
         count += 1
     assert count == (377 if family == "affine m <= 47" else 309)
 
@@ -491,7 +494,7 @@ def _every_element_is_gelfand_pair(group, subgroup, partition):
     inverse_coset = label[keys.lookup(np.argsort(reps, axis=1)[:, : keys.base_length])]
     inverse_label = inverse_coset[label][:, None]
     rep_base = reps[:, : keys.base_length]
-    step = max(1, _PRODUCT_CHUNK // len(images))
+    step = max(1, (1 << 14) // len(images))
     for start in range(0, rank, step):
         right = label[keys.lookup(images[:, rep_base[start : start + step]])]
         forward = np.sort(inverse_label * rank + right, axis=0)
@@ -515,18 +518,16 @@ def _criterion_6_pairs():
                 yield affine_extension(abelian, f)
 
 
-def _fallback_pairs():
-    """Pairs whose K is no stabilizer of 0 in a transitive G, so the test
-    counts every element: subgroups of Inn(47, 5)'s stabilizer of order 2
-    and 23, which fix 0, and its trivial subgroup (none of the three is
-    Gelfand); the stabilizer of 5; the whole group; and S3 x S2 on 6
-    points over <(1 2)> and over <(3 4)>, which fix 0 and have |K| d = |G|
-    in a group that is not transitive (Gelfand over <(1 2)> only)."""
+def _other_subgroup_pairs():
+    """Pairs whose K is no stabilizer of 0 in a transitive G: subgroups of
+    Inn(47, 5)'s stabilizer of order 2 and 23, which fix 0, and its
+    trivial subgroup (none of the three is Gelfand); the stabilizer of 5;
+    the whole group; and S3 x S2 on 6 points over <(1 2)> and over
+    <(3 4)>, which fix 0 and have |K| d = |G| in a group that is not
+    transitive (Gelfand over <(1 2)> only)."""
     group = inner_group(affine_quandle(AffineSpec(47, 5)))
-    stab = stabilizer(group, 0)
-    for order in (2, 23):
-        rows = [row for row in stab if (row ** order).is_identity()]
-        yield group, PermutationGroup.from_elements(rows)
+    yield group, _stabilizer_subgroup(group, 2)
+    yield group, _stabilizer_subgroup(group, 23)
     yield group, stabilizer(group, 5)
     yield group, PermutationGroup.from_elements([Permutation.identity(47)])
     yield group, group
@@ -538,27 +539,47 @@ def _fallback_pairs():
         yield product, close_group([Permutation.from_cycles(6, [swap])])
 
 
+def _stabilizer_subgroup(group, order):
+    """The members of the stabilizer of 0 whose order divides ``order``."""
+    rows = [row for row in stabilizer(group, 0) if (row ** order).is_identity()]
+    return PermutationGroup.from_elements(rows)
+
+
+def _plain_left_cosets(group, sub):
+    """The left cosets z K as sets of element indices, by plain set
+    arithmetic: z K is the set of rows z(k(.)) over the k in K, each
+    located by a dict of row bytes, for the least z not yet covered."""
+    index = {row.tobytes(): i for i, row in enumerate(group.images)}
+    covered, cosets = set(), []
+    for z in range(len(group)):
+        if z not in covered:
+            coset = {index[row.tobytes()] for row in group.images[z][sub.images]}
+            covered |= coset
+            cosets.append(coset)
+    return cosets
+
+
 @pytest.mark.parametrize("family", ["affine m <= 47", "differential pairs", "criterion 6",
                                     "no stabilizer of 0"])
 def test_gelfand_pair_matches_the_every_element_count(family, order12):
     """One element per left coset z K gives the verdict of counting every
-    element.  The coset blocks are read off the sorted rows exactly for a
-    stabilizer of 0 in a transitive group."""
+    element.  The transversal holds one member of each left coset; for a
+    stabilizer of 0 in a transitive group it is every |K|-th sorted row."""
     pairs = {"affine m <= 47": lambda: _stabilizer_pairs(47),
              "differential pairs": lambda: differential_pairs(order12),
              "criterion 6": _criterion_6_pairs,
-             "no stabilizer of 0": _fallback_pairs}[family]()
+             "no stabilizer of 0": _other_subgroup_pairs}[family]()
     count = negatives = 0
     for group, sub in pairs:
         part = double_cosets(group, sub)
         verdict = is_gelfand_pair(group, sub, part)
         assert verdict == _every_element_is_gelfand_pair(group, sub, part), (group, sub)
-        stride = _left_coset_stride(group, sub)
-        transitive = len(orbits(group)) == 1
-        point_stabilizer = transitive and sub == stabilizer(group, 0)
-        assert stride == (len(sub) if point_stabilizer else 1), (group, sub)
-        if family == "no stabilizer of 0":
-            assert stride == 1
+        transversal = set(_left_transversal(part).tolist())
+        cosets = _plain_left_cosets(group, sub)
+        assert len(transversal) == len(cosets), (group, sub)
+        assert all(len(coset & transversal) == 1 for coset in cosets), (group, sub)
+        if len(orbits(group)) == 1 and sub == stabilizer(group, 0):
+            assert _left_transversal(part).tolist() == list(range(0, len(group), len(sub)))
         count += 1
         negatives += not verdict
     assert (count, negatives) == {"affine m <= 47": (377, 0), "differential pairs": (309, 15),
@@ -580,3 +601,21 @@ def test_gelfand_pair_looks_up_one_element_per_coset(monkeypatch):
     rank = len(part)
     assert (rank, len(group)) == (2, 2162)
     assert sum(rows) == rank * 47 + rank
+
+
+def test_gelfand_pair_over_any_subgroup_looks_up_one_element_per_coset(monkeypatch):
+    """On Inn(47, 5) over the order-23 subgroup of its stabilizer, which is
+    no point stabilizer, r [G:K] + r base rows are looked up: one product
+    g_k z per left coset, not r |G|."""
+    group = inner_group(affine_quandle(AffineSpec(47, 5)))
+    sub = _stabilizer_subgroup(group, 23)
+    part = double_cosets(group, sub)
+    rows = []
+    lookup = _ElementKeys.lookup
+    monkeypatch.setattr(_ElementKeys, "lookup",
+                        lambda keys, base: rows.append(base[..., 0].size) or lookup(keys, base))
+    assert not is_gelfand_pair(group, sub, part)
+    rank, index = len(part), len(group) // len(sub)
+    assert (len(sub), index) == (23, 94)
+    assert sum(rows) == rank * index + rank
+

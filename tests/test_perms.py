@@ -45,7 +45,7 @@ from quandlekit.perms import (
 from quandlekit.tables import bundled_order12
 from quandlekit.tensor import tensor_square
 from quandlekit.perms import (
-    _PRODUCT_CHUNK,
+    _GATHER_CHUNK,
     _element_keys,
     _ElementKeys,
     _greedy_generators,
@@ -267,13 +267,15 @@ def test_close_group_cap():
 def test_close_group_cap_is_checked_per_block():
     """The transpositions of S_9 under conjugation form a quandle of order
     36 whose inner group is S_9; the closure stops within one block of
-    products past the cap, not at the end of a breadth-first layer."""
+    products past the cap, at most _GATHER_CHUNK image entries, not at the
+    end of a breadth-first layer."""
     quandle = transposition_quandle(9)
     message = r"^closure reached (\d+) elements, past the cap of 20000$"
     with pytest.raises(GroupTooLarge, match=message) as exc:
         with mock.patch.object(perms, "CLOSURE_CAP", 20_000):
             close_group(inner_generators(quandle))
-    assert int(re.match(message, str(exc.value)).group(1)) <= 20_000 + _PRODUCT_CHUNK
+    reached = int(re.match(message, str(exc.value)).group(1))
+    assert reached <= 20_000 + _GATHER_CHUNK // quandle.order
 
 
 def _reference_closure(gens):
@@ -341,7 +343,7 @@ def _dimino_close_group(generators, *, cap):
             continue
         kept.append(g.images)
         gen_arr = np.array(kept, dtype=dt)
-        block = max(1, _PRODUCT_CHUNK // len(kept))
+        block = max(1, (1 << 14) // len(kept))
         queue = sorted(seen)
         while queue:
             F = np.frombuffer(b"".join(queue[:block]), dtype=dt).reshape(-1, degree)
