@@ -17,8 +17,9 @@ affine_quandle and abelian.abelian_affine_quandle both build Aff(A, f),
 x > y = f(x) + y - f(y), with _aff_quandle, from A's addition table on
 the points (0 its zero) and f as an index array.  A connected result keeps
 the two, read-only, beside its validated table as CayleyQuandle._affine;
-inner.inner_group and tensor.tensor_square read it in closed form.  Every
-other quandle, a bare copy of such a table included, keeps None there.
+inner.inner_group and tensor.tensor_square read it in closed form, through
+_affine_of, which first ties it to the table.  Every other quandle, a bare
+copy of such a table included, keeps None there.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from math import gcd
 import numpy as np
 
 from .modular import multiplicative_order
-from .perms import (Permutation, PermutationRows, _GATHER_CHUNK, _dtype_for, _element_keys,
-                    _greedy_generators, _integers, _locate, _memoised, _orbit_labels,
+from .perms import (Permutation, PermutationRows, _GATHER_CHUNK, _dtype_for, _greedy_generators,
+                    _integers, _inverse, _locate, _memoised, _orbit_labels, _product,
                     close_group)
 
 _AXIOM_NAMES = {
@@ -254,6 +255,24 @@ def _aff_quandle(add: np.ndarray, f: np.ndarray) -> CayleyQuandle:
 
 
 @_memoised
+def _affine_of(q: CayleyQuandle) -> tuple[np.ndarray, np.ndarray] | None:
+    """The (add, f) that q carries, or None, once the table agrees with it:
+    R_s is x -> f(x) + R_s(0) for each s in the generating set.  As R_s
+    fixes s, R_s(0) is s - f(s), and as 0 is in the set, column 0 is f.
+    Checked once per quandle (memoised); raises QuandleError at the first
+    (x, s) where the table differs."""
+    if q._affine is None:
+        return None
+    (add, f), S = q._affine, list(q._generators)
+    columns = q._array[:, S]
+    bad = columns != add[f[:, None], columns[0]]
+    if bad.any():
+        x, s = np.argwhere(bad)[0].tolist()
+        raise QuandleError(f"carried Aff(A, f) disagrees with the table at (x, s) = ({x}, {S[s]})")
+    return q._affine
+
+
+@_memoised
 def affine_quandle(spec: AffineSpec) -> CayleyQuandle:
     """The validated table of the spec's quandle, Aff(Z_m, x -> t x)
     (_aff_quandle); memoised on the spec, so every call with one spec
@@ -322,31 +341,29 @@ def coset_quandle(group, subgroup_generators, automorphism) -> CayleyQuandle:
     array, fixing the subgroup H generated by ``subgroup_generators``
     pointwise.  The operation is
     Hx > Hy = H phi(x y^-1) y.  Cosets are indexed by their least member.
-    Elements are located by G's key lookup (perms._locate): phi is an index
-    array and the cosets are the orbits of x -> h x.
+    phi is an array of element indices, the cosets are the orbits of
+    x -> h x, and perms._product and _inverse locate every product.
     """
-    E, keys, elements = group.images, _element_keys(group), PermutationRows(group.images)
-    base = keys.base_length
+    rows = PermutationRows(group.images)
     source = _indices_of_all(group, automorphism,
                              "map must be defined on exactly the group elements")
     target = _indices_of_all(group, automorphism.values(), "map is not a bijection onto the group")
     phi = target[np.argsort(source)]
-    left = _greedy_generators(group, np.arange(len(E)))[1]
-    # phi(g x) against phi(g) phi(x) at each generator g (g times the identity) and every x
-    bad = phi[left] != keys.lookup(E[phi[left[:, :1, None]], E[phi, :base]])
+    generators, left = _greedy_generators(group, np.arange(len(group)))
+    # phi(g x) against phi(g) phi(x) at each generator g and every x
+    bad = phi[left] != _product(group, phi[generators, None], phi)
     if bad.any():
         g, x = np.unravel_index(bad.argmax(), bad.shape)
-        raise NotAutomorphism(f"not multiplicative at ({elements[left[g, 0]]!r}, {elements[x]!r})")
+        raise NotAutomorphism(f"not multiplicative at ({rows[generators[g]]!r}, {rows[x]!r})")
     sub_gens = tuple(subgroup_generators)
     if not all(h in group for h in sub_gens):
         raise ValueError("subgroup generator outside the group")
     members = _locate(group, close_group(sub_gens).images)[0] if sub_gens else np.zeros(1, np.intp)
     moved = members[phi[members] != members]
     if moved.size:
-        raise NotCentralized(f"map moves subgroup element {elements[moved[0]]!r}")
+        raise NotCentralized(f"map moves subgroup element {rows[moved[0]]!r}")
     label = _orbit_labels(_greedy_generators(group, members)[1])  # the least member of each Hx
     reps, coset = np.unique(label, return_inverse=True)
-    R = E[reps]
     # phi(x_a x_b^-1) x_b for all pairs (a, b) of coset representatives
-    quotient = phi[keys.lookup(R[:, np.argsort(R, axis=1)[:, :base]])]
-    return validate_quandle(coset[keys.lookup(E[quotient[:, :, None], R[:, :base]])])
+    quotient = phi[_product(group, reps[:, None], _inverse(group, reps))]
+    return validate_quandle(coset[_product(group, quotient, reps)])

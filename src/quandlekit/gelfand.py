@@ -15,17 +15,17 @@ point stabilizer the two verdicts agree, and the test suite leans on
 that agreement.
 
 Neither double-coset function builds the |G| x |G| Cayley index table:
-products are formed from base images and located by key lookup (see
-perms), and only the ones needed: 2 |S| |G| in double_cosets, for S a
-generating set of K with |S| <= log2 |K|.  is_gelfand_pair compares the
-structure constants of the double-coset algebra, which fix each product
-of double-coset sums, at one representative per double coset, counting
-one element per left coset z K, as double_cosets found them: r [G:K]
-products for r double cosets, for every subgroup K
-(Ceccherini-Silberstein, Scarabotti and Tolli, Harmonic Analysis on
-Finite Groups, CUP 2008, on finite Gelfand pairs).  Double cosets are a
-perms.Partition over element indices, like the tensor classes, and
-is_gelfand_pair reads only its arrays.
+each forms only the products it needs, by element index (perms._product
+and perms._inverse; only perms locates elements): 2 |S| |G| in
+double_cosets, for S a generating set of K with |S| <= log2 |K|.
+is_gelfand_pair compares the structure constants of the double-coset
+algebra, which fix each product of double-coset sums, at one
+representative per double coset, counting one element per left coset
+z K, as double_cosets found them: r [G:K] products for r double cosets,
+for every subgroup K (Ceccherini-Silberstein, Scarabotti and Tolli,
+Harmonic Analysis on Finite Groups, CUP 2008, on finite Gelfand pairs).
+Double cosets are a perms.Partition over element indices, like the
+tensor classes, and is_gelfand_pair reads only its arrays.
 """
 
 from __future__ import annotations
@@ -43,11 +43,12 @@ from .perms import (
     Permutation,
     PermutationGroup,
     _GATHER_CHUNK,
-    _element_keys,
     _greedy_generators,
+    _inverse,
     _locate,
     _memoised,
     _orbit_labels,
+    _product,
 )
 from .tensor import tensor_square
 
@@ -165,11 +166,9 @@ def double_cosets(group: PermutationGroup,
     members, found = _locate(group, subgroup.images)
     if not found.all():
         raise NotASubgroup("second argument must be a subgroup of the first")
-    images, keys = group.images, _element_keys(group)
-    rows, left = _greedy_generators(group, members)
-    # g -> g s from the base images of g * s
-    right = np.array([keys.lookup(images[:, s[: keys.base_length]]) for s in rows], np.int32)
-    coset = _orbit_labels(right.reshape(len(rows), len(images)))  # the least member of z K
+    generators, left = _greedy_generators(group, members)
+    right = _product(group, np.arange(len(group)), generators[:, None]).astype(np.int32)  # g s
+    coset = _orbit_labels(right)  # the least member of z K
     transversal = np.flatnonzero(coset == np.arange(len(coset)))
     index = np.searchsorted(transversal, coset)  # of z K among the left cosets
     least = transversal[_orbit_labels(index[left[:, transversal]])[index]]
@@ -198,9 +197,8 @@ def is_gelfand_pair(group: PermutationGroup,
     i, j, k: r [G:K] products.  The pair is Gelfand exactly when
     c_ijk = c_jik for all i, j, k, that is when, for each k, the pairs
     (label(g_k z), label(z^-1)) over the z form the same multiset as their
-    swaps; two sorted key arrays decide that.
-    Products g_k z are formed from base images for a block of
-    representatives at a time.
+    swaps; two sorted key arrays decide that, for a block of
+    representatives at a time (perms._product forms each g_k z).
 
     A partition passed in must be the one of this group and subgroup;
     ValueError otherwise.
@@ -209,22 +207,14 @@ def is_gelfand_pair(group: PermutationGroup,
         partition = double_cosets(group, subgroup)
     elif partition.group != group or partition.subgroup != subgroup:
         raise ValueError("partition is of another group or subgroup")
-    images = group.images
-    keys = _element_keys(group)
-    rank = len(partition)
-    label = partition.labels
-    reps = images[partition.starts]
-    # inversion permutes the double cosets, (K g K)^-1 = K g^-1 K, so the
-    # inverses of the representatives label every inverse; the rows of
-    # argsort(reps) are those inverses' images
-    inverse_coset = label[keys.lookup(np.argsort(reps, axis=1)[:, : keys.base_length])]
+    rank, label, reps = len(partition), partition.labels, partition.starts
+    # (K g K)^-1 = K g^-1 K: the inverses of the representatives label every inverse
     members = _left_transversal(partition)
-    transversal = images[members, : keys.base_length]
-    inverse_label = inverse_coset[label[members]]
-    step = max(1, _GATHER_CHUNK // (transversal.size or 1))
+    inverse_label = label[_inverse(group, reps)][label[members]]
+    step = max(1, _GATHER_CHUNK // (len(members) * group.degree))
     for start in range(0, rank, step):
         # [k, z]: label of g_k z
-        left = label[keys.lookup(reps[start : start + step][:, transversal])]
+        left = label[_product(group, reps[start : start + step, None], members)]
         forward = np.sort(left * rank + inverse_label, axis=1)
         backward = np.sort(inverse_label * rank + left, axis=1)
         if not np.array_equal(forward, backward):

@@ -4,7 +4,7 @@ Inn is closed from the translations R_s by the points s of the quandle's
 generating set, which generate it (cayley module docstring); the group
 is memoised on the quandle, so callers passing the same quandle share one
 listing.  A connected quandle built as Aff(A, f) carries (A, f)
-(cayley.CayleyQuandle._affine), and for it no closure runs: R_0 = f and
+(cayley._affine_of), and for it no closure runs: R_0 = f and
 R_y R_0^-1 is the translation by y - f(y), onto A, so Inn = A x| <f>, the
 maps y -> a + f^i(y), listed by one gather on A's addition table
 (Hulpke, Stanovsky and Vojtechovsky, "Connected quandles and transitive
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .abelian import _semidirect_rows
-from .cayley import AffineSpec, CayleyQuandle, affine_quandle, right_translation
+from .cayley import AffineSpec, CayleyQuandle, _affine_of, affine_quandle, right_translation
 from .modular import geometric_sum
 from .perms import (
     Permutation,
@@ -55,9 +55,9 @@ def inner_group(q: CayleyQuandle) -> PermutationGroup:
     set; memoised on q.  A quandle carrying Aff(A, f) (module docstring)
     has it listed as A x| <f>; any other is closed from those R_s."""
     translations = q._array.T[list(q._generators)]
-    if q._affine is None:
+    if (affine := _affine_of(q)) is None:
         return close_group(map(Permutation._trusted, translations.tolist()))
-    rows = _semidirect_rows(*q._affine)
+    rows = _semidirect_rows(*affine)
     return _generated_by(PermutationGroup._trusted(rows), translations.astype(rows.dtype))
 
 

@@ -13,24 +13,22 @@ pair index, and the least index (the representative) and size of every
 block; Partition.blocks builds the member tuples only when they are read.
 Conjugacy classes and double cosets K g K are orbits, of G acting on itself
 by conjugation and of K x K by multiplication on both sides, so both are
-split by maps built from a generating set S of K.  For classes (and
-orbits) of a group close_group built, or inner.inner_group listed, S is
-the generators it was built from (_generated_by); otherwise S is greedy,
-|S| <= log2 |K|: the last member of K outside <S> joins S until
-|K| / |<S>| is 1 or prime.
-
-close_group lists a group in one breadth-first pass from the identity
-under left multiplication by the distinct non-identity generators.
+split by maps built from a generating set S of K: for classes and orbits,
+the generators close_group or inner.inner_group built G from
+(_generated_by), else a greedy set with |S| <= log2 |K|
+(_greedy_generators).
 
 Elements are located by their images on a prefix base; these keys
-(_ElementKeys) are the group's only index.  Because the image rows are
-sorted, the points 0..b-1, where b is one more than the last column in
-which two consecutive rows first differ, already separate every element.
-Each element is keyed by the mixed-radix int64 number of its
-images on those points (radix = degree), so the keys rise with the element
-index and one ``searchsorted`` on them turns base images into indices.
-Where the next column would overflow int64, the partial keys are first
-replaced by their ranks among the elements' partial keys, which is exact.
+(_ElementKeys) are the group's only index, read only here: _locate finds
+image rows, and _product and _inverse multiply and invert elements given
+by index.  Because the image rows are sorted, the points 0..b-1, where b
+is one more than the last column in which two consecutive rows first
+differ, already separate every element.  Each element is keyed by the
+mixed-radix int64 number of its images on those points (radix = degree),
+so the keys rise with the element index and one ``searchsorted`` on them
+turns base images into indices.  Where the next column would overflow
+int64, the partial keys are first replaced by their ranks among the
+elements' partial keys, which is exact.
 """
 
 from __future__ import annotations
@@ -406,6 +404,28 @@ def _locate(group: PermutationGroup, rows) -> tuple[np.ndarray, np.ndarray]:
     return index, np.all(group.images[index] == rows, axis=1)
 
 
+def _product(group: PermutationGroup, *factors) -> np.ndarray:
+    """Element indices of factors[0] * factors[1] * ..., the last acting
+    first, for index arrays broadcast against each other: the last factor's
+    base images, mapped through the rows of each earlier one (by column when
+    its axes all precede the images' axes), then one key lookup."""
+    E, keys = group.images, _element_keys(group)
+    images = E[factors[-1], : keys.base_length]
+    for factor in map(np.asarray, reversed(factors[:-1])):
+        lead = factor.ndim - images.ndim + 1  # axes of the factor before the images' axes
+        images = (E[factor.ravel()][:, images].reshape(factor.shape[:lead] + images.shape)
+                  if factor.shape[lead:] == (1,) * (images.ndim - 1)
+                  else E[factor[..., None], images])
+    return keys.lookup(images)
+
+
+def _inverse(group: PermutationGroup, index) -> np.ndarray:
+    """Element indices of the inverses of the elements at ``index``, read
+    off the argsort of their rows by one key lookup."""
+    keys = _element_keys(group)
+    return keys.lookup(np.argsort(group.images[index], axis=-1)[..., : keys.base_length])
+
+
 def _lexsort_order(degree: int, columns) -> tuple[np.ndarray, bool]:
     """The order of the full lexsort of integer rows of width ``degree``,
     with entries below it, and whether the rows are pairwise distinct;
@@ -485,13 +505,14 @@ def _orbit_labels(maps: np.ndarray) -> np.ndarray:
     round on a few dozen points).  A label only ever names a point of the
     same orbit and never rises, and at the fixpoint it is constant along
     every cycle of every map, so it is the orbit's least point.  Labels
-    have the dtype of ``maps``."""
+    have the dtype of ``maps``; they are gathered with ``take``, which reads
+    int32 indices about twice as fast as fancy indexing does."""
     label = np.arange(maps.shape[1], dtype=maps.dtype)
     before = label.tobytes()
     while True:
         for row in maps:
-            np.minimum(label, label[row], out=label)
-        label = label[label]
+            np.minimum(label, label.take(row), out=label)
+        label = label.take(label)
         if (after := label.tobytes()) == before:
             return label
         before = after
@@ -512,36 +533,32 @@ def _powers(f: np.ndarray) -> Iterator[np.ndarray]:
 
 def _greedy_generators(group: PermutationGroup,
                        members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Image rows of a greedy generating set S, read off the elements, of the
-    subgroup K with ascending element indices ``members``, and the int32
-    index maps x -> s x of G.
-
-    The last (lex-largest) member outside <S> (the identity's orbit under
-    the maps) joins S, at least doubling <S>: |S| <= log2 |K|.  A late
-    member tends to climb further than the least one, which often lies in
-    a small subgroup; on Aut(Z_2^4), of order 20160, |S| is 3, not 9.  By
-    Lagrange, a subgroup strictly between <S> and K has an order that
-    |<S>| divides and that divides |K|; once |K| / |<S>| is prime there is
-    none, so any member outside <S> completes S, with no orbit pass to
-    confirm it."""
-    E, keys = group.images, _element_keys(group)
-    base = E[:, : keys.base_length]
-    chosen, left, outside = [], np.empty((0, len(E)), dtype=np.int32), members[1:]
+    """Element indices of a greedy generating set S of the subgroup K with
+    ascending element indices ``members``, and the int32 index maps
+    x -> s x of G.  The last (lex-largest) member outside <S> (the
+    identity's orbit under the maps) joins S, at least doubling <S>:
+    |S| <= log2 |K|.  A late member climbs further than the least one, which
+    often lies in a small subgroup: on Aut(Z_2^4), of order 20160, |S| is 3,
+    not 9.  Once |K| / |<S>| is prime, Lagrange leaves no subgroup strictly
+    between <S> and K, so any member outside <S> completes S, with no orbit
+    pass to confirm it."""
+    everything = np.arange(len(group))
+    chosen, left, outside = [], np.empty((0, len(everything)), dtype=np.int32), members[1:]
     while outside.size:
         chosen.append(outside[-1])
-        left = np.vstack([left, keys.lookup(E[outside[-1]][base])], dtype=np.int32)
+        left = np.vstack([left, _product(group, outside[-1:], everything)], dtype=np.int32)
         # |<S>| before this member joined is |K| minus the members outside it
         if is_prime(len(members) // (len(members) - outside.size)):
             break
         outside = outside[_orbit_labels(left)[outside] != 0]
-    return E[chosen], left
+    return np.array(chosen, dtype=np.intp), left
 
 
 @_memoised
 def _generating_rows(group: PermutationGroup) -> np.ndarray:
     """Image rows of a generating set of G, read-only: those close_group
     stored, else a greedy set (_greedy_generators); memoised on the group."""
-    rows = _greedy_generators(group, np.arange(len(group)))[0]
+    rows = group.images[_greedy_generators(group, np.arange(len(group)))[0]]
     rows.flags.writeable = False
     return rows
 
@@ -644,16 +661,11 @@ def stabilizer(group: PermutationGroup, point: int) -> PermutationGroup:
 def cayley_index_table(group: PermutationGroup) -> np.ndarray:
     """table[i, j] = index of elements[i] * elements[j], as int32; memoised
     on the group."""
-    E = group.images
-    element_keys = _element_keys(group)
-    n = len(group)
-    base_columns = E[:, : element_keys.base_length]
-    rows = max(1, _GATHER_CHUNK // (n * element_keys.base_length or 1))
+    n, index = len(group), np.arange(len(group))
+    rows = max(1, _GATHER_CHUNK // (n * _element_keys(group).base_length or 1))
     table = np.empty((n, n), dtype=np.int32)
     for start in range(0, n, rows):
-        # products[r, j] holds the base images of elements[start + r] * elements[j]
-        products = E[start : start + rows][:, base_columns]
-        table[start : start + rows] = element_keys.lookup(products)
+        table[start : start + rows] = _product(group, index[start : start + rows, None], index)
     return table
 
 

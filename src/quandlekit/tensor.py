@@ -8,7 +8,7 @@ For connected affine quandles with prime modulus both objects have closed
 forms driven by the difference y - x, which this module also provides.
 
 A connected quandle built as Aff(A, f) carries (A, f)
-(cayley.CayleyQuandle._affine).  Its inner group is A x| <f>, which
+(cayley._affine_of).  Its inner group is A x| <f>, which
 moves (x, y) to (0, y - x) and then along the <f>-orbit of y - x, so the
 least pair of the class of (x, y) is (0, d) for d the least point of that
 orbit, the minimum over the powers f^0..f^(k-1): its tensor square is
@@ -30,7 +30,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 
-from .cayley import AffineSpec, CayleyQuandle
+from .cayley import AffineSpec, CayleyQuandle, _affine_of
 from .modular import conjugate_orbit, is_prime
 from .perms import Partition, _memoised, _orbit_labels, _powers
 
@@ -121,8 +121,8 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
     size, and its labels are one gather over y - x.
     """
     n = quandle.order
-    if quandle._affine is not None:
-        add, f = quandle._affine
+    if (affine := _affine_of(quandle)) is not None:
+        add, f = affine
         # [x, y]: y - x, as row -x of add; -x is where row x holds 0, its least entry
         difference = add[add.argmin(axis=1)]
         # pair (x, y), x >= 1, has index >= n, and its class's least pair is
@@ -130,9 +130,11 @@ def tensor_square(quandle: CayleyQuandle) -> TensorSquare:
         points = Partition.from_least(reduce(np.minimum, _powers(f)))
         return TensorSquare(labels=points.labels[difference].ravel(), starts=points.starts,
                             counts=n * points.counts, order=n)
-    columns = quandle._array.T[list(quandle._generators)]
+    # int32 pair indices while n^2 fits: half the bytes each labelling round reads
+    dtype = np.int32 if n * n < 1 << 31 else np.intp
+    columns = quandle._array.T[list(quandle._generators)].astype(dtype)
     maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(-1, n * n)
-    return TensorSquare.from_least(_orbit_labels(maps), order=n)
+    return TensorSquare.from_least(_orbit_labels(maps).astype(np.intp), order=n)
 
 
 def tau_quotient(tensor: TensorSquare) -> TauQuotient:

@@ -294,8 +294,8 @@ def _dict_coset_quandle(group, subgroup_generators, automorphism):
         raise NotAutomorphism("map must be defined on exactly the group elements")
     if set(automorphism.values()) != elements:
         raise NotAutomorphism("map is not a bijection onto the group")
-    generators = _greedy_generators(group, np.arange(len(group)))[0]
-    for g in map(Permutation._trusted, generators.tolist()):
+    for i in _greedy_generators(group, np.arange(len(group)))[0]:
+        g = group.elements[i]
         pg = automorphism[g]
         for x in group.elements:
             if automorphism[g * x] != pg * automorphism[x]:

@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import re
 import weakref
 
 import numpy as np
@@ -173,6 +174,36 @@ def test_memos_leave_equality_hashing_and_repr_to_the_fields():
     # equal specs are distinct contexts: each builds its own quandle
     assert affine_quandle(fresh_spec) is not q
     assert affine_quandle(fresh_spec) == q
+
+
+def test_a_carried_f_that_does_not_give_the_table_raises_at_the_first_read():
+    """Aff(Z_7^2, diag(3, 2)) with its carried f swapped for diag(3, 3)
+    before any read: analyze reported rank 9, against the true 10, with
+    both verdicts True.  The first read of the pair now checks each R_s,
+    s in the generating set, against x -> f(x) + s - f(s) and names the
+    first (x, s) where the table differs, here in column 0, which is f; an
+    honest quandle is checked once and keeps its pair."""
+    from quandlekit import QuandleError, analyze
+    from quandlekit.cayley import _affine_of
+
+    p = 7
+
+    def diagonal(s, t):
+        return [s * a % p * p + t * b % p for a in range(p) for b in range(p)]
+
+    honest = abelian_affine_quandle(AbelianGroup((p, p)), Permutation(diagonal(3, 2)))
+    assert analyze(honest).rank == 10
+    assert _affine_of(honest) is honest._affine and "_affine_of" in vars(honest)
+    q = abelian_affine_quandle(AbelianGroup((p, p)), Permutation(diagonal(3, 2)))
+    add, f = q._affine
+    wrong = np.array(diagonal(3, 3), dtype=f.dtype)
+    wrong.flags.writeable = False
+    q.__dict__["_affine"] = (add, wrong)
+    with pytest.raises(QuandleError, match=re.escape("at (x, s) = (1, 0)")):
+        analyze(q)
+    for read in (inner_group, tensor_square):
+        with pytest.raises(QuandleError):
+            read(q)
 
 
 def test_only_connected_quandles_built_from_their_group_carry_it():

@@ -49,8 +49,10 @@ from quandlekit.perms import (
     _element_keys,
     _ElementKeys,
     _greedy_generators,
+    _inverse,
     _locate,
     _orbit_labels,
+    _product,
 )
 from conftest import connected_affine_specs, differential_pairs, transposition_quandle
 
@@ -659,6 +661,69 @@ def test_class_split_of_aut_z2_4_looks_up_six_key_sets(monkeypatch):
     assert 0 < len(calls) <= 6, calls
 
 
+def _folding_extension():
+    """An extension of Z_2^2 x Z_7 whose element keys fold at column 13."""
+    abelian = AbelianGroup((2, 2, 7))
+    for f in automorphism_permutations(abelian):
+        big = affine_extension(abelian, f)[0]
+        if _element_keys(big).folds:
+            break
+    assert list(_element_keys(big).folds) == [13]
+    return big
+
+
+_ARITHMETIC_GROUPS = {
+    "Inn(47, 5)": lambda: inner_group(affine_quandle(AffineSpec(47, 5))),
+    "S4": lambda: _symmetric_group(4),
+    "S5": lambda: _symmetric_group(5),
+    "S6": lambda: _symmetric_group(6),
+    "Aut(Z_2^4)": lambda: automorphism_group(AbelianGroup((2, 2, 2, 2))),
+    "folded at column 13": _folding_extension,
+}
+
+
+@pytest.mark.parametrize("name", list(_ARITHMETIC_GROUPS))
+def test_index_products_and_inverses_match_permutation_arithmetic(name):
+    """_product and _inverse give the indices of Permutation * and
+    .inverse() on sampled elements, in the shapes the callers use: a
+    one-element array times a vector and a column times a row (both by
+    column of the left factor's rows), a scalar times a vector, a vector
+    times a column and a conjugation with three factors (all entry by
+    entry)."""
+    group = _ARITHMETIC_GROUPS[name]()
+    rng = np.random.default_rng(len(group))
+    elements = group.elements
+    index = {g.images: i for i, g in enumerate(elements)}
+
+    def reference(*factors):
+        shape = np.broadcast_shapes(*(np.shape(f) for f in factors))
+        flat = np.broadcast_arrays(*factors)
+        out = [index[(elements[a] * elements[b] * elements[c]).images]
+               for a, b, c in zip(*(f.ravel().tolist() for f in flat))]
+        return np.array(out, dtype=np.intp).reshape(shape)
+
+    identity = np.zeros((), dtype=np.intp)
+    xs = rng.choice(len(group), size=min(40, len(group)), replace=False)
+    ys = rng.choice(len(group), size=24, replace=False)
+    g = int(xs[0])
+    inverse = _inverse(group, ys)
+    assert inverse.tolist() == [index[elements[y].inverse().images] for y in ys.tolist()], name
+    assert np.array_equal(_inverse(group, ys.reshape(4, 6)), inverse.reshape(4, 6))
+    cases = [
+        (_product(group, xs[:1], ys), reference(xs[:1], ys, identity)),
+        (_product(group, g, xs), reference(np.asarray(g), xs, identity)),
+        (_product(group, ys[:, None], xs), reference(ys[:, None], xs, identity)),
+        (_product(group, xs, ys[:, None]), reference(xs, ys[:, None], identity)),
+        (_product(group, ys[:, None], xs, inverse[:, None]),
+         reference(ys[:, None], xs, inverse[:, None])),
+    ]
+    for got, want in cases:
+        assert got.shape == want.shape and np.array_equal(got, want), name
+    # s x s^-1 fixes the identity, and x x^-1 is the identity
+    assert (_product(group, ys[:, None], 0, inverse[:, None]) == 0).all()
+    assert (_product(group, ys, inverse) == 0).all()
+
+
 def _greedy_cases(family, order12):
     """(G, K) pairs for _greedy_generators, K = G for a lone group."""
     if family == "affine m <= 31":
@@ -687,12 +752,13 @@ def test_greedy_generators_generate_the_subgroup(family, order12):
     fires when the last member of S raised |<S>| by a prime factor."""
     fired = 0
     for group, sub in _greedy_cases(family, order12):
-        rows, left = _greedy_generators(group, _locate(group, sub.images)[0])
-        assert len(rows) <= len(sub).bit_length() - 1, (group, sub)
-        assert left.dtype == np.int32 and left.shape == (len(rows), len(group))
+        chosen, left = _greedy_generators(group, _locate(group, sub.images)[0])
+        assert len(chosen) <= len(sub).bit_length() - 1, (group, sub)
+        assert chosen.dtype == np.intp and left.dtype == np.int32
+        assert left.shape == (len(chosen), len(group))
         if len(sub) == 1:
             continue
-        gens = [Permutation._trusted(row) for row in rows.tolist()]
+        gens = [group.elements[i] for i in chosen]
         assert all(g in sub for g in gens)
         assert close_group(gens) == sub, (group, sub)
         index = {x.images: i for i, x in enumerate(group.elements)}
@@ -718,9 +784,9 @@ def test_greedy_generators_of_a_prime_order_subgroup_make_no_orbit_pass(monkeypa
                 continue
             big, small = affine_extension(abelian, f)
             calls.clear()
-            rows, left = _greedy_generators(big, _locate(big, small.images)[0])
-            assert calls == [] and len(rows) == 1 and len(left) == 1
-            assert close_group([Permutation._trusted(rows[0].tolist())]) == small
+            chosen, left = _greedy_generators(big, _locate(big, small.images)[0])
+            assert calls == [] and len(chosen) == 1 and len(left) == 1
+            assert close_group([big.elements[chosen[0]]]) == small
             orders.add(element_order(f))
     assert orders == {2, 3, 5}
 
@@ -741,7 +807,7 @@ def test_closed_group_keeps_its_generators_as_its_generating_rows():
         assert not (rows == np.arange(group.degree)).all(axis=1).any()
         assert close_group([group.identity(), *map(Permutation._trusted, rows.tolist())]) == group
         rebuilt = PermutationGroup(group.images)
-        greedy = _greedy_generators(rebuilt, np.arange(len(rebuilt)))[0]
+        greedy = rebuilt.images[_greedy_generators(rebuilt, np.arange(len(rebuilt)))[0]]
         assert np.array_equal(perms._generating_rows(rebuilt), greedy)
         assert orbits(group) == orbits(rebuilt)
         for attribute in ("labels", "starts", "counts"):

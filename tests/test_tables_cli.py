@@ -374,6 +374,26 @@ def test_scripts_run(argv, line):
     assert line in proc.stdout
 
 
+def test_census_stdout_is_the_same_on_every_run():
+    """The census keeps its elapsed times on stderr, so two runs write the
+    same stdout bytes, down to the verdict line."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    repo = Path(__file__).resolve().parent.parent
+    paths = [str(repo / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    script = repo / "scripts" / "abelian_gelfand_census.py"
+    argv = [sys.executable, str(script), "--max-order", "8"]
+    runs = [subprocess.run(argv, capture_output=True, env=env, timeout=300) for _ in range(2)]
+    assert [proc.returncode for proc in runs] == [0, 0], runs[0].stderr
+    assert runs[0].stdout == runs[1].stdout
+    last = runs[0].stdout.decode().splitlines()[-1]
+    assert last == "204 pairs; orbital test agreed on all 60 connected instances"
+
+
 _NO_MASKED_ARRAYS = """
 import contextlib, io, sys
 from quandlekit.abelian import AbelianGroup, affine_extension, automorphism_permutations

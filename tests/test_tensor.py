@@ -251,3 +251,31 @@ def test_generating_prefix_gives_the_orbits_of_all_translations(order12):
         labels = np.unique(_orbit_labels(maps), return_inverse=True)[1]
         assert np.array_equal(tensor_square(q).labels, labels), q.table
         assert is_connected(q) == (not _orbit_labels(columns).any()), q.table
+
+
+def test_bare_tensor_square_labels_int32_pair_maps(monkeypatch, order12):
+    """A table that carries no Aff(A, f) is labelled over int32 pair maps
+    while n^2 fits; the partition keeps the values and the intp dtypes the
+    int64 maps gave.  On the bundled table and on Aff(Z_25, 7) relabelled."""
+    from quandlekit import TensorSquare, tensor
+
+    seen = []
+    labels = tensor._orbit_labels
+    monkeypatch.setattr(tensor, "_orbit_labels",
+                        lambda maps: seen.append(maps.dtype) or labels(maps))
+    affine = affine_quandle(AffineSpec(25, 7))
+    sigma = list(range(25))
+    random.Random(11).shuffle(sigma)
+    relabelled = np.empty((25, 25), dtype=np.intp)
+    relabelled[np.ix_(sigma, sigma)] = np.array(sigma)[affine._array]
+    for quandle in (validate_quandle(order12._array), validate_quandle(relabelled)):
+        n = quandle.order
+        square = tensor_square(quandle)
+        columns = quandle._array.T[list(quandle._generators)].astype(np.int64)
+        maps = (columns[:, :, None] * n + columns[:, None, :]).reshape(-1, n * n)
+        reference = TensorSquare.from_least(labels(maps), order=n)
+        for field in ("labels", "starts", "counts"):
+            got, want = getattr(square, field), getattr(reference, field)
+            assert got.dtype == want.dtype == np.intp and np.array_equal(got, want), field
+    assert seen == [np.int32, np.int32]
+    assert len(tensor_square(affine)) == len(square) and seen == [np.int32, np.int32]
